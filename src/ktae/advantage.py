@@ -16,8 +16,8 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,12 +26,11 @@ import numpy as np
 from . import frequency, stats
 from .core import (
     AdvantageMatrix,
-    ContingencyTable,
     DegenerateGroup,
     InvalidReward,
     KtaeConfig,
     RolloutGroup,
-    TokenStats,
+    TokenStatsColumns,
     TooFewRollouts,
     validate_group,
 )
@@ -104,22 +103,39 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(x) - 0.5, -DELTA_MAX, DELTA_MAX)
 
 
-def _token_occurrences(group: RolloutGroup) -> dict[int, list[int]]:
-    """token id -> [rollouts containing it (correct), (incorrect),
-    occurrences (correct side), occurrences (incorrect side)]."""
-    occ: dict[int, list[int]] = {}
-    for is_correct, rollout in zip(group.correct_mask, group.rollouts):
-        for token, count in Counter(rollout.tokens).items():
-            entry = occ.get(token)
-            if entry is None:
-                entry = occ[token] = [0, 0, 0, 0]
-            if is_correct:
-                entry[0] += 1
-                entry[2] += count
-            else:
-                entry[1] += 1
-                entry[3] += count
-    return occ
+def _count_occurrences(group: RolloutGroup, sizes: list[int]):
+    """Occurrence counts of every distinct token, from one stable sort.
+
+    Positions are concatenated rollout-major, so the stable sort orders them
+    by (token, rollout). Returns the sorted distinct ``tokens``, each
+    position's ``rollout`` and ``token_index`` into ``tokens``, and per token
+    the rollouts containing it on the correct side (a) and the incorrect side
+    (b) and its occurrences on each side (tf_true, tf_false).
+    """
+    flat = np.fromiter(
+        itertools.chain.from_iterable(r.tokens for r in group.rollouts), dtype=np.int64, count=sum(sizes)
+    )
+    rollout = np.repeat(np.arange(group.size), sizes)
+    order = np.argsort(flat, kind="stable")
+    sorted_tokens = flat[order]
+    sorted_rollout = rollout[order]
+    new_token = np.empty(flat.size, dtype=bool)
+    new_token[0] = True
+    np.not_equal(sorted_tokens[1:], sorted_tokens[:-1], out=new_token[1:])
+    new_run = new_token.copy()  # first position of each (token, rollout) run
+    new_run[1:] |= sorted_rollout[1:] != sorted_rollout[:-1]
+    sorted_index = np.cumsum(new_token) - 1
+    token_index = np.empty_like(sorted_index)
+    token_index[order] = sorted_index
+    tokens = sorted_tokens[new_token]
+
+    correct = np.array(group.correct_mask, dtype=bool)[sorted_rollout]
+    m = tokens.size
+    a = np.bincount(sorted_index[new_run & correct], minlength=m)
+    b = np.bincount(sorted_index[new_run & ~correct], minlength=m)
+    tf_true = np.bincount(sorted_index[correct], minlength=m)
+    tf_false = np.bincount(sorted_index[~correct], minlength=m)
+    return tokens, rollout, token_index, a, b, tf_true, tf_false
 
 
 def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) -> AdvantageMatrix:
@@ -140,11 +156,8 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
             f"group {group.group_id!r} has {group.num_correct}/{group.size} correct rollouts"
         )
 
-    occ = _token_occurrences(group)
-    tokens = np.array(sorted(occ), dtype=np.int64)
-    counts = np.array([occ[t] for t in tokens.tolist()], dtype=np.int64).reshape(-1, 4)
-    a, b = counts[:, 0], counts[:, 1]
-    tf_true, tf_false = counts[:, 2], counts[:, 3]
+    sizes = [len(r.tokens) for r in group.rollouts]
+    tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
     n_true = group.num_correct
     c = n_true - a
     d = (group.size - n_true) - b
@@ -167,20 +180,14 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     delta = sigmoid_shift(ktv)
     base, delta = _snap_to_group_grid(baseline.advantages, delta)
 
-    token_advantages = []
-    for i, rollout in enumerate(group.rollouts):
-        positions = np.fromiter(rollout.tokens, dtype=np.int64, count=len(rollout.tokens))
-        row = base[i] + delta[np.searchsorted(tokens, positions)]
-        row.flags.writeable = False
-        token_advantages.append(row)
-
-    token_stats = _build_token_stats(
-        tokens, a, b, c, d, p, f_score, ig, tf_true, tf_false, tfs_true, tfs_false, direction, ktv
-    )
+    flat = base[rollout] + delta[token_index]
+    flat.flags.writeable = False
     return AdvantageMatrix(
         rollout_advantages=base,
-        token_advantages=tuple(token_advantages),
-        token_stats=token_stats,
+        token_advantages=tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes)),
+        token_stats=TokenStatsColumns(
+            tokens, a, b, c, d, p, f_score, ig, tf_true, tf_false, tfs_true, tfs_false, direction, ktv
+        ),
     )
 
 
@@ -202,23 +209,3 @@ def _snap_to_group_grid(base: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray
     limit = max(0.5 - quantum, 0.0)
     delta_q = np.clip(np.round(delta / quantum) * quantum, -limit, limit)
     return base_q, delta_q
-
-
-def _build_token_stats(tokens, a, b, c, d, p, f_score, ig, tf_t, tf_f, tfs_t, tfs_f, direction, ktv):
-    columns = [x.tolist() for x in (tokens, a, b, c, d, p, f_score, ig, tf_t, tf_f, tfs_t, tfs_f, direction, ktv)]
-    out: dict[int, TokenStats] = {}
-    for tok, av, bv, cv, dv, pv, fv, igv, tft, tff, st, sf, dirv, kv in zip(*columns):
-        out[tok] = TokenStats(
-            token=tok,
-            table=ContingencyTable(av, bv, cv, dv),
-            fisher_p=pv,
-            fisher_score=fv,
-            info_gain=igv,
-            tf_true=tft,
-            tf_false=tff,
-            tf_score_true=st,
-            tf_score_false=sf,
-            direction=dirv,
-            key_token_value=kv,
-        )
-    return out

@@ -21,6 +21,7 @@ from .core import ConfigError, KtaeConfig, KtaeError, validate_group
 from .heatmap import UnknownGroup, render_group_html
 from .oracle import MAX_EXACT_N, compare_fast_vs_exact
 from .records import (
+    RecordError,
     advantage_record_line,
     config_from_mapping,
     load_config,
@@ -94,11 +95,25 @@ def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool
     """Worker: one input line to one output line (or a diagnostic)."""
     lineno, line = item
     try:
-        group = validate_group(parse_group_record(line))
-        matrix = compute_advantages(group, config)
+        group = parse_group_record(_check_utf8(line))
+        matrix = compute_advantages(group, config)  # validates the group
         return lineno, advantage_record_line(group.group_id, matrix, include_stats), None
     except KtaeError as exc:
         return lineno, None, f"line {lineno}: {type(exc).__name__}: {exc}"
+
+
+def _open_lines(path: str):
+    """Open a text input whose undecodable bytes survive as lone surrogates,
+    so one bad line is reported by _check_utf8 instead of ending the read."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(line: str) -> str:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordError("line is not valid UTF-8") from None
+    return line
 
 
 def _numbered_lines(handle):
@@ -114,7 +129,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
     failed = False
-    with open(args.input, "r", encoding="utf-8") as src, open(args.output, "w", encoding="utf-8") as dst:
+    with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst:
         items = _numbered_lines(src)
         if args.parallel == 1:
             results = map(worker, items)
@@ -146,10 +161,10 @@ def _drain(results, dst, skip_bad: bool) -> bool:
 
 
 def _find_record(path: str, wanted_id: str, parse, describe: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_lines(path) as handle:
         for lineno, line in _numbered_lines(handle):
             try:
-                record = parse(line)
+                record = parse(_check_utf8(line))
             except KtaeError as exc:
                 raise type(exc)(f"{path} line {lineno}: {exc}") from None
             if record.group_id == wanted_id:

@@ -10,6 +10,8 @@ share across workers.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Literal, NamedTuple
@@ -18,6 +20,9 @@ import numpy as np
 
 FisherMode = Literal["point", "two_sided"]
 DegeneratePolicy = Literal["zeros", "error"]
+
+# Token ids are counted as int64; larger ids are rejected at validation.
+MAX_TOKEN_ID = 2**63 - 1
 
 
 class KtaeError(Exception):
@@ -41,7 +46,7 @@ class InvalidReward(KtaeError):
 
 
 class InvalidToken(KtaeError):
-    """Token identifiers must be non-negative integers."""
+    """Token identifiers must be integers in [0, MAX_TOKEN_ID]."""
 
 
 class TooFewRollouts(KtaeError):
@@ -214,6 +219,57 @@ class TokenStats(NamedTuple):
     key_token_value: float
 
 
+@dataclass(frozen=True, eq=False)
+class TokenStatsColumns(Mapping[int, TokenStats]):
+    """Per-token statistics of one group, one read-only array per quantity.
+
+    Row i of every column belongs to ``tokens[i]``; ``tokens`` is sorted and
+    distinct. As a ``Mapping[int, TokenStats]`` it builds a row only when one
+    is looked up; bulk readers should read the columns instead.
+    """
+
+    tokens: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    fisher_p: np.ndarray
+    fisher_score: np.ndarray
+    info_gain: np.ndarray
+    tf_true: np.ndarray
+    tf_false: np.ndarray
+    tf_score_true: np.ndarray
+    tf_score_false: np.ndarray
+    direction: np.ndarray
+    key_token_value: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def index(self, token: int) -> int:
+        """Row of ``token`` in the columns; KeyError when the group lacks it."""
+        try:
+            t = operator.index(token)
+        except TypeError:
+            raise KeyError(token) from None
+        i = int(self.tokens.searchsorted(t)) if 0 <= t <= MAX_TOKEN_ID else len(self.tokens)
+        if i == len(self.tokens) or self.tokens[i] != t:
+            raise KeyError(token)
+        return i
+
+    def __getitem__(self, token: int) -> TokenStats:
+        i = self.index(token)
+        a, b, c, d, *rest = (getattr(self, f.name).item(i) for f in fields(self)[1:])
+        return TokenStats(self.tokens.item(i), ContingencyTable(a, b, c, d), *rest)
+
+    def __iter__(self):
+        return iter(self.tokens.tolist())
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+
 @dataclass(frozen=True)
 class AdvantageMatrix:
     """Final output: rollout-level baselines plus per-position refinements.
@@ -225,7 +281,7 @@ class AdvantageMatrix:
 
     rollout_advantages: np.ndarray
     token_advantages: tuple[np.ndarray, ...]
-    token_stats: dict[int, TokenStats]
+    token_stats: TokenStatsColumns
 
     def delta(self, rollout_index: int) -> np.ndarray:
         """Per-position refinement for one rollout."""
@@ -254,5 +310,7 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
             raise InvalidReward(f"group {group.group_id!r}: rollout {i} reward {rollout.reward!r} is not finite")
         if min(rollout.tokens) < 0:
             raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a negative token id")
+        if max(rollout.tokens) > MAX_TOKEN_ID:
+            raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a token id above {MAX_TOKEN_ID}")
     group.correct_mask  # populate the cached partition
     return group

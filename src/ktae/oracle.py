@@ -9,10 +9,12 @@ explicitly pits the two against each other.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
-from .core import ContingencyTable, KtaeError, RolloutGroup
+from .core import ContingencyTable, KtaeConfig, KtaeError, RolloutGroup, TokenStats, validate_group
 
 # Exact hypergeometric arithmetic is capped: factorials stay exact at any
 # size, but enumeration cost and downstream float conversion do not.
@@ -84,6 +86,90 @@ def brute_force_stats(group: RolloutGroup, token: int) -> ContingencyTable:
             b += present
             d += not present
     return ContingencyTable(a, b, c, d)
+
+
+class ReferenceAdvantages(NamedTuple):
+    """What reference_advantages computes for one group, with no grid snap."""
+
+    rollout_advantages: tuple[float, ...]
+    token_advantages: tuple[tuple[float, ...], ...]
+    token_stats: dict[int, TokenStats]
+    deltas: dict[int, float]  # sigmoid(key_token_value) - 0.5 per token id
+
+
+def _entropy_bits(k: int, n: int) -> float:
+    """Entropy of a (k, n - k) split; 0 for an empty or pure split."""
+    if n == 0:
+        return 0.0
+    return -sum(x * math.log2(x) for x in (k / n, (n - k) / n) if x > 0.0)
+
+
+def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) -> ReferenceAdvantages:
+    """The whole pipeline as a plain per-token loop, for checking the fast path.
+
+    Each distinct token gets its table from brute_force_stats, its Fisher
+    probability as an exact Fraction (point or same-margin enumeration), and
+    information gain, term-frequency scores, direction and key-token-value
+    from direct float formulas. Nothing is snapped to a grid, so values agree
+    with compute_advantages to rounding, not bit for bit. Degenerate groups
+    go through the same math, as under degenerate_policy="zeros".
+    """
+    config = config if config is not None else KtaeConfig()
+    group = validate_group(group)
+    rewards = [r.reward for r in group.rollouts]
+    mean = math.fsum(rewards) / len(rewards)
+    std = math.sqrt(math.fsum((r - mean) ** 2 for r in rewards) / len(rewards))
+    if all(r == rewards[0] for r in rewards):
+        base = [0.0] * len(rewards)
+    else:
+        base = [(r - mean) / max(std, config.std_epsilon) for r in rewards]
+
+    lengths = [len(r.tokens) for r in group.rollouts]
+    len_avg = sum(lengths) / len(lengths)
+    side_lengths = {
+        side: [n for n, ok in zip(lengths, group.correct_mask) if ok == side] for side in (True, False)
+    }
+    len_side = {side: sum(ls) / len(ls) if ls else len_avg for side, ls in side_lengths.items()}
+
+    def tf_score(tf: int, side: bool) -> float:
+        if tf == 0:
+            return 0.0
+        return (config.k1 + 1.0) * tf / (config.k1 * (1.0 - config.b + config.b * len_side[side] / len_avg) + tf)
+
+    token_stats: dict[int, TokenStats] = {}
+    deltas: dict[int, float] = {}
+    for token in sorted({t for r in group.rollouts for t in r.tokens}):
+        table = brute_force_stats(group, token)
+        a, b, c, d = table
+        n = table.n
+        if config.fisher_mode == "two_sided":
+            exact_p = fisher_two_sided_enum(table, max_n=n)
+        else:
+            exact_p = fisher_exact_rational(table, max_n=n)
+        p = float(exact_p)
+        fisher_score = 0.0 if exact_p == 1 else math.exp(-2.0 * p)
+        cond = ((a + b) / n) * _entropy_bits(a, a + b) + ((c + d) / n) * _entropy_bits(c, c + d)
+        info_gain = max(_entropy_bits(a + c, n) - cond, 0.0)
+
+        tf_true = sum(r.tokens.count(token) for r, ok in zip(group.rollouts, group.correct_mask) if ok)
+        tf_false = sum(r.tokens.count(token) for r, ok in zip(group.rollouts, group.correct_mask) if not ok)
+        score_true, score_false = tf_score(tf_true, True), tf_score(tf_false, False)
+        cohen_h = (math.asin(math.sqrt(a / (a + c))) if a + c else 0.0) - (
+            math.asin(math.sqrt(b / (b + d))) if b + d else 0.0
+        )
+        t, f = max(score_true, config.tf_floor), max(score_false, config.tf_floor)
+        direction = cohen_h + config.h3 * (t / f - f / t)
+        ktv = (config.h1 * fisher_score + config.h2 * info_gain) * direction
+
+        token_stats[token] = TokenStats(token, table, p, fisher_score, info_gain, tf_true, tf_false,
+                                        score_true, score_false, direction, ktv)
+        if ktv >= 0:
+            deltas[token] = 1.0 / (1.0 + math.exp(-ktv)) - 0.5
+        else:
+            deltas[token] = math.exp(ktv) / (1.0 + math.exp(ktv)) - 0.5
+
+    rows = tuple(tuple(level + deltas[t] for t in r.tokens) for level, r in zip(base, group.rollouts))
+    return ReferenceAdvantages(tuple(base), rows, token_stats, deltas)
 
 
 def all_tables_with_total(n: int):

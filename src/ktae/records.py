@@ -104,11 +104,12 @@ def advantage_record_line(group_id: str, matrix, include_stats: bool = False) ->
         "token_advantages": [row.tolist() for row in matrix.token_advantages],
     }
     if include_stats:
+        s = matrix.token_stats
+        columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
+                   s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
         obj["token_stats"] = {
-            str(tok): dict(zip(TOKEN_STAT_KEYS, (*s.table, s.fisher_p, s.fisher_score, s.info_gain,
-                                                 s.tf_score_true, s.tf_score_false, s.direction,
-                                                 s.key_token_value)))
-            for tok, s in matrix.token_stats.items()
+            str(tok): dict(zip(TOKEN_STAT_KEYS, row))
+            for tok, row in zip(s.tokens.tolist(), zip(*(col.tolist() for col in columns)))
         }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -174,7 +175,7 @@ def config_from_mapping(mapping: dict) -> KtaeConfig:
 def _load_flat_mapping(path: str | Path, what: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
     try:
         obj = json.loads(text)

@@ -134,24 +134,26 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
     elapsed = time.perf_counter() - started
 
     for group, matrix in zip(groups, matrices):
-        deltas = {tok: _first_delta(group, matrix, tok) for tok in matrix.token_stats}
-        abs_ktv = {tok: abs(s.key_token_value) for tok, s in matrix.token_stats.items()}
+        s = matrix.token_stats
+        deltas = _emitted_deltas(group, matrix)
+        abs_ktv = np.abs(s.key_token_value)
         for tok in spec.planted_positive:
             pos_total += 1
-            pos_correct += deltas[tok] > 0
+            pos_correct += deltas.item(s.index(tok)) > 0
         for tok in spec.planted_negative:
             neg_total += 1
-            neg_correct += deltas[tok] < 0
+            neg_correct += deltas.item(s.index(tok)) < 0
         for tok in spec.planted_neutral:
-            neutral_abs_deltas.append(abs(deltas[tok]))
+            neutral_abs_deltas.append(abs(deltas.item(s.index(tok))))
         for tok in spec.planted_positive + spec.planted_negative:
-            plant_abs_ktv.append(abs_ktv[tok])
-            plant_abs_delta.append(abs(deltas[tok]))
-            plant_ranks.append(1 + sum(v > abs_ktv[tok] for v in abs_ktv.values()))
-        for tok, value in abs_ktv.items():
-            if tok not in plant_set:
-                filler_abs_ktv.append(value)
-                filler_abs_delta.append(abs(deltas[tok]))
+            i = s.index(tok)
+            plant_abs_ktv.append(abs_ktv.item(i))
+            plant_abs_delta.append(abs(deltas.item(i)))
+            plant_ranks.append(1 + int(np.count_nonzero(abs_ktv > abs_ktv[i])))
+        filler = np.ones(len(s), dtype=bool)
+        filler[[s.index(tok) for tok in plant_set]] = False
+        filler_abs_ktv += abs_ktv[filler].tolist()
+        filler_abs_delta += np.abs(deltas[filler]).tolist()
 
     filler_ktv = np.asarray(filler_abs_ktv, dtype=np.float64)
     return {
@@ -176,12 +178,12 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
     }
 
 
-def _first_delta(group: RolloutGroup, matrix, token: int) -> float:
-    """Delta of ``token`` read off the emitted matrix at its first position."""
-    for i, rollout in enumerate(group.rollouts):
-        try:
-            pos = rollout.tokens.index(token)
-        except ValueError:
-            continue
-        return float(matrix.token_advantages[i][pos] - matrix.rollout_advantages[i])
-    raise KeyError(f"token {token} does not occur in group {group.group_id!r}")
+def _emitted_deltas(group: RolloutGroup, matrix) -> np.ndarray:
+    """Each token's delta as read off the emitted rows (all positions of a
+    token carry the same one), aligned with ``matrix.token_stats.tokens``."""
+    tokens = np.concatenate([np.asarray(r.tokens, dtype=np.int64) for r in group.rollouts])
+    out = np.empty(len(matrix.token_stats))
+    out[matrix.token_stats.tokens.searchsorted(tokens)] = np.concatenate(
+        [matrix.delta(i) for i in range(group.size)]
+    )
+    return out

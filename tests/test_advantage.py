@@ -239,3 +239,37 @@ class TestComputeAdvantages:
             assert other.info_gain == pytest.approx(stats.info_gain, abs=1e-12)
             if stats.tf_true > 0 and stats.tf_false > 0:  # no floor clamp on either side
                 assert other.key_token_value == pytest.approx(-stats.key_token_value, abs=1e-9)
+
+
+class TestTokenStatsColumns:
+    def matrix(self):
+        return compute_advantages(binary_group(
+            [True, True, False], [(7, 3, 7), (3, 2**63 - 1), (3, 11, 11, 11)],
+        ))
+
+    def test_rows_are_built_from_the_columns(self):
+        s = self.matrix().token_stats
+        assert s.tokens.tolist() == [3, 7, 11, 2**63 - 1] == list(s)
+        assert len(s) == 4
+        row = s[11]
+        assert row.token == 11 and type(row.token) is int
+        assert row.table == CT(0, 1, 2, 0)
+        assert (row.tf_true, row.tf_false) == (0, 3) and type(row.tf_false) is int
+        i = s.index(11)
+        assert row.key_token_value == s.key_token_value[i] and type(row.key_token_value) is float
+        assert dict(s.items())[7] == s[7]
+        assert s[2**63 - 1].table == CT(1, 0, 1, 1)
+
+    @pytest.mark.parametrize("key", [4, -3, 2**63, 2**70, "7", 7.0, None])
+    def test_absent_or_foreign_keys_raise_key_error(self, key):
+        s = self.matrix().token_stats
+        assert key not in s
+        with pytest.raises(KeyError):
+            s[key]
+
+    def test_columns_are_read_only(self):
+        s = self.matrix().token_stats
+        with pytest.raises(ValueError):
+            s.key_token_value[0] = 1.0
+        with pytest.raises(ValueError):
+            s.tokens[0] = 5

@@ -74,6 +74,46 @@ class TestCompute:
         assert len(read_lines(out)) == len(lines) - 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_token_id_beyond_int64_is_a_bad_record(self, batch, tmp_path, capsys, parallel):
+        lines = read_lines(batch)
+        huge = {"group_id": "huge", "rollouts": [{"tokens": [1, 2**63], "reward": 1.0},
+                                                 {"tokens": [1], "reward": 0.0}]}
+        lines.insert(2, json.dumps(huge))
+        src = tmp_path / "huge.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
+        assert main(args + ["--skip-bad"]) == 0
+        assert "line 3: InvalidToken" in capsys.readouterr().err
+        assert [json.loads(l)["group_id"] for l in read_lines(out)] == \
+            [json.loads(l)["group_id"] for l in lines if '"huge"' not in l]
+        assert main(args) == 1
+        assert "line 3: InvalidToken" in capsys.readouterr().err
+        assert len(read_lines(out)) == 2
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_line_that_is_not_utf8_is_a_bad_record(self, batch, tmp_path, capsys, parallel):
+        raw = batch.read_bytes().splitlines(keepends=True)
+        raw.insert(1, b'{"group_id": "caf\xe9"}\n')
+        src = tmp_path / "latin1.jsonl"
+        src.write_bytes(b"".join(raw))
+        out = tmp_path / "out.jsonl"
+        args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
+        assert main(args + ["--skip-bad"]) == 0
+        assert "line 2: RecordError: line is not valid UTF-8" in capsys.readouterr().err
+        assert len(read_lines(out)) == len(raw) - 1
+        assert main(args) == 1
+        assert "line 2: RecordError" in capsys.readouterr().err
+        assert len(read_lines(out)) == 1
+
+    def test_config_file_that_is_not_utf8_exits_2(self, batch, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"k1": 1.5, "note": "\xff"}')
+        out = tmp_path / "out.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_blank_lines_are_ignored(self, batch, tmp_path):
         src = tmp_path / "gaps.jsonl"
         src.write_text("\n\n" + "\n\n".join(read_lines(batch)) + "\n\n")
@@ -151,6 +191,16 @@ class TestVisualize:
         code, _ = self.render(tmp_path, batch, "synth-9999")
         assert code == 1
         assert "synth-9999" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8_exits_1(self, batch, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\n" + batch.read_bytes())
+        adv = tmp_path / "adv.jsonl"
+        main(["compute", "--input", str(batch), "--output", str(adv)])
+        code = main(["visualize", "--input", str(bad), "--advantages", str(adv),
+                     "--group", "synth-0000", "--output", str(tmp_path / "heat.html")])
+        assert code == 1
+        assert "line 1: line is not valid UTF-8" in capsys.readouterr().err
 
     def test_missing_texts_exits_1(self, tmp_path, capsys):
         group = {

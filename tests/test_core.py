@@ -59,6 +59,15 @@ def test_validate_rejects_negative_token():
         validate_group(group)
 
 
+def test_validate_bounds_token_ids_to_int64():
+    top = 2**63 - 1
+    ok = RolloutGroup("g", (Rollout(tokens=(top,), reward=1.0), Rollout(tokens=(0,), reward=0.0)))
+    assert validate_group(ok) is ok
+    bad = RolloutGroup("g", (Rollout(tokens=(1, top + 1), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
+    with pytest.raises(InvalidToken, match="rollout 0"):
+        validate_group(bad)
+
+
 def test_validate_rejects_non_finite_reward():
     group = RolloutGroup("g", (Rollout(tokens=(1,), reward=math.nan), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidReward):

@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktae import ContingencyTable as CT
 from ktae import (
+    KtaeConfig,
     Rollout,
     RolloutGroup,
     TableTooLarge,
@@ -15,6 +19,7 @@ from ktae import (
     fisher_two_sided_enum,
     validate_group,
 )
+from ktae.oracle import reference_advantages
 from ktae.stats import LogGammaTable
 
 from conftest import rollout_groups
@@ -97,6 +102,70 @@ class TestBruteForceStats:
             matrix = compute_advantages(group)
             for token, stats in matrix.token_stats.items():
                 assert stats.table == brute_force_stats(group, token)
+
+
+@st.composite
+def reference_cases(draw):
+    """A small group and a config. Graded rewards sit on a 1/8 grid, so the
+    reward variance is either zero or far above std_epsilon and the baseline
+    is well conditioned (the tiny-variance guard has its own tests)."""
+    graded = draw(st.booleans())
+    rollouts = []
+    for _ in range(draw(st.integers(2, 8))):
+        tokens = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=12)))
+        reward = draw(st.integers(0, 8)) / 8 if graded else float(draw(st.integers(0, 1)))
+        rollouts.append(Rollout(tokens=tokens, reward=reward))
+    threshold = draw(st.floats(0.0, 1.0)) if graded else 0.5
+    config = KtaeConfig(
+        h1=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        h2=draw(st.sampled_from([0.0, 2.0, 3.5])),
+        h3=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        k1=draw(st.sampled_from([0.5, 2.0, 3.0])),
+        b=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        tf_floor=draw(st.sampled_from([1e-6, 0.1])),
+        fisher_mode=draw(st.sampled_from(["point", "two_sided"])),
+    )
+    return RolloutGroup("ref", tuple(rollouts), correctness_threshold=threshold), config
+
+
+def _close(got: float, want: float) -> bool:
+    return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+class TestReferenceAdvantages:
+    @given(reference_cases())
+    @settings(max_examples=300)
+    def test_pipeline_matches_the_per_token_reference(self, case):
+        group, config = case
+        matrix = compute_advantages(group, config)
+        ref = reference_advantages(group, config)
+        assert list(matrix.token_stats) == list(ref.token_stats)
+        for token, want in ref.token_stats.items():
+            got = matrix.token_stats[token]
+            assert got.table == want.table
+            assert (got.tf_true, got.tf_false) == (want.tf_true, want.tf_false)
+            for name in ("fisher_p", "fisher_score", "info_gain", "tf_score_true", "tf_score_false",
+                         "direction", "key_token_value"):
+                assert _close(getattr(got, name), getattr(want, name)), (token, name)
+        assert all(map(_close, matrix.rollout_advantages.tolist(), ref.rollout_advantages))
+        for i, rollout in enumerate(group.rollouts):
+            delta = matrix.delta(i)
+            assert [np.sign(x) for x in delta] == [np.sign(ref.deltas[t]) for t in rollout.tokens]
+            assert all(map(_close, matrix.token_advantages[i].tolist(), ref.token_advantages[i]))
+
+    def test_planted_split_by_hand(self):
+        rollouts = (Rollout((1, 7), 1.0), Rollout((1, 7, 7), 1.0), Rollout((1, 2), 0.0), Rollout((3,), 0.0))
+        ref = reference_advantages(RolloutGroup("hand", rollouts))
+        assert ref.rollout_advantages == (1.0, 1.0, -1.0, -1.0)
+        seven = ref.token_stats[7]
+        assert seven.table == CT(2, 0, 0, 2)
+        assert (seven.tf_true, seven.tf_false) == (3, 0)
+        assert seven.fisher_p == 1 / 6
+        assert seven.info_gain == 1.0
+        assert ref.deltas[7] > 0 > ref.deltas[2]
+        one = ref.token_stats[1]
+        assert one.table == CT(2, 1, 0, 1) and one.key_token_value > 0
+        assert ref.token_advantages[1] == (1.0 + ref.deltas[1], 1.0 + ref.deltas[7], 1.0 + ref.deltas[7])
 
 
 class TestCompareFastVsExact:
