@@ -8,9 +8,12 @@ fields in records are ignored; unknown fields in config files are errors.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .core import ConfigError, KtaeConfig, KtaeError, Rollout, RolloutGroup
 from .synth import SpecError, SynthSpec
@@ -44,8 +47,10 @@ def _is_number(value) -> bool:
 def _parse_json_line(line: str) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
         raise RecordError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise RecordError("invalid JSON: nesting too deep") from None
     _require(isinstance(obj, dict), "record must be a JSON object")
     return obj
 
@@ -63,8 +68,9 @@ def parse_group_record(line: str) -> RolloutGroup:
     for i, raw in enumerate(raw_rollouts):
         _require(isinstance(raw, dict), f"rollouts[{i}] must be an object")
         tokens = raw.get("tokens")
+        # json.loads makes no int subclass but bool, so an exact type check suffices.
         _require(
-            isinstance(tokens, list) and all(isinstance(t, int) and not isinstance(t, bool) for t in tokens),
+            isinstance(tokens, list) and set(map(type, tokens)) <= {int},
             f"rollouts[{i}].tokens must be an array of integers",
         )
         reward = raw.get("reward")
@@ -72,7 +78,7 @@ def parse_group_record(line: str) -> RolloutGroup:
         texts = raw.get("texts")
         if texts is not None:
             _require(
-                isinstance(texts, list) and all(isinstance(t, str) for t in texts),
+                isinstance(texts, list) and set(map(type, texts)) <= {str},
                 f"rollouts[{i}].texts must be an array of strings",
             )
             texts = tuple(texts)
@@ -93,24 +99,99 @@ def group_record_line(group: RolloutGroup) -> str:
         "correctness_threshold": group.correctness_threshold,
         "rollouts": rollouts,
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return _dumps(obj)
 
 
 def advantage_record_line(group_id: str, matrix, include_stats: bool = False) -> str:
-    """Serialize an AdvantageMatrix for one group to its wire line."""
-    obj: dict = {
-        "group_id": group_id,
-        "rollout_advantages": matrix.rollout_advantages.tolist(),
-        "token_advantages": [row.tolist() for row in matrix.token_advantages],
-    }
+    """Serialize an AdvantageMatrix for one group to its wire line.
+
+    Every position of a token id carries the same delta and rollouts share
+    few baselines, so a group holds few distinct numbers: each is formatted
+    once and its text gathered to every position that holds it. The bytes
+    are those of ``json.dumps`` of the record with compact separators.
+    """
+    base_text, rows_text = _json_arrays(matrix.rollout_advantages, matrix.token_advantages)
+    parts = ['{"group_id":', json.dumps(group_id), ',"rollout_advantages":', base_text,
+             ',"token_advantages":', rows_text]
     if include_stats:
-        s = matrix.token_stats
-        columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
-                   s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
-        obj["token_stats"] = {
-            str(tok): dict(zip(TOKEN_STAT_KEYS, row))
-            for tok, row in zip(s.tokens.tolist(), zip(*(col.tolist() for col in columns)))
-        }
+        parts += [',"token_stats":{', _token_stats_body(matrix.token_stats), "}"]
+    parts.append("}")
+    return "".join(parts)
+
+
+def _json_arrays(base: np.ndarray, rows) -> tuple[str, str]:
+    """Compact JSON text of the array ``base`` and of the array of ``rows``.
+
+    When a spread sample of at most 256 of the values is mostly distinct,
+    sorting and gathering would cost more than they save, so both are
+    dumped directly; the text is the same either way. A sample shows fewer
+    repeats than the whole array holds, so gathering is chosen only where
+    it clearly pays.
+    """
+    values = np.concatenate([base, *rows]).astype(np.float64, copy=False)
+    bits = values.view(np.int64)
+    sample = np.sort(bits[::-(-bits.size // 256) or 1])
+    if 2 * np.count_nonzero(sample[1:] != sample[:-1]) >= sample.size:
+        return _dumps(base.tolist()), _dumps([row.tolist() for row in rows])
+    texts = _json_values(values)
+    ends = list(itertools.accumulate([len(base), *map(len, rows)]))
+    rows_text = ",".join("[" + ",".join(texts[start:end]) + "]" for start, end in zip(ends, ends[1:]))
+    return "[" + ",".join(texts[:ends[0]]) + "]", "[" + rows_text + "]"
+
+
+_STATS_ENTRY = "{" + ",".join(f'"{key}":%s' for key in TOKEN_STAT_KEYS) + "}"
+
+
+def _token_stats_body(s) -> str:
+    """``"<token>":{"a":…,…,"ktv":…}`` for every token, comma-joined; each
+    distinct row of the 11 columns (compared by bit pattern) is formatted once."""
+    if len(s.tokens) == 0:
+        return ""
+    columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
+               s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
+    bits = np.column_stack([col.view(np.int64) for col in columns])
+    order = np.lexsort(bits.T)
+    first, inverse = _runs(bits[order], order)
+    rep = order[first]
+    texts = [_json_numbers(col[rep].tolist()) for col in columns]
+    entries = np.array([_STATS_ENTRY % row for row in zip(*texts)], dtype=object)
+    return ",".join(map('"{}":{}'.format, s.tokens.tolist(), entries[inverse].tolist()))
+
+
+def _json_values(values: np.ndarray) -> list[str]:
+    """JSON text of each element of a float64 array.
+
+    Elements are deduplicated by bit pattern, so ``-0.0`` and ``0.0`` stay
+    apart, and the distinct values are formatted by one ``json.dumps`` call.
+    """
+    if values.size == 0:
+        return []
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    first, inverse = _runs(bits[order], order)
+    texts = np.array(_json_numbers(values[order[first]].tolist()), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _runs(sorted_keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mark the first element of each run of equal keys (rows, for a 2-D
+    array) and map every original position to the index of its run."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[0] = True
+    differs = sorted_keys[1:] != sorted_keys[:-1]
+    first[1:] = differs.any(axis=1) if differs.ndim == 2 else differs
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return first, inverse
+
+
+def _json_numbers(values: list) -> list[str]:
+    """JSON text of each number in ``values``, from one C-level dump (no JSON
+    number contains a comma)."""
+    return _dumps(values)[1:-1].split(",")
+
+
+def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -179,8 +260,10 @@ def _load_flat_mapping(path: str | Path, what: str) -> dict:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} file {path} is not valid JSON: nesting too deep") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object")
     return {str(k): _coerce_json_value(v) for k, v in obj.items()}

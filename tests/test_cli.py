@@ -5,11 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ktae import ContingencyTable
-from ktae.cli import main
+from ktae import ContingencyTable, KtaeConfig
+from ktae.cli import _process_line, main
 from ktae.records import group_record_line, parse_advantage_record
 from ktae.synth import SynthSpec, generate
+
+from conftest import rollout_groups
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -107,6 +111,28 @@ class TestCompute:
         assert "line 2: RecordError" in capsys.readouterr().err
         assert len(read_lines(out)) == 1
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_deeply_nested_line_is_a_bad_record(self, batch, tmp_path, capsys, parallel):
+        lines = read_lines(batch)
+        lines.insert(1, "[" * 100_000)
+        src = tmp_path / "deep.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
+        assert main(args + ["--skip-bad"]) == 0
+        assert "line 2: RecordError: invalid JSON: nesting too deep" in capsys.readouterr().err
+        assert len(read_lines(out)) == len(lines) - 1
+        assert main(args) == 1
+        assert "line 2: RecordError: invalid JSON: nesting too deep" in capsys.readouterr().err
+        assert len(read_lines(out)) == 1
+
+    def test_deeply_nested_config_file_exits_2(self, batch, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"h1":' + "[" * 100_000)
+        out = tmp_path / "out.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg)]) == 2
+        assert "nesting too deep" in capsys.readouterr().err
+
     def test_config_file_that_is_not_utf8_exits_2(self, batch, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"k1": 1.5, "note": "\xff"}')
@@ -156,6 +182,52 @@ class TestCompute:
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out)]) == 1
         assert "absent.jsonl" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+MUTATION_PATHS = [
+    ("group_id",), ("correctness_threshold",), ("rollouts",), ("rollouts", 1),
+    ("rollouts", 0, "tokens"), ("rollouts", 0, "tokens", 0), ("rollouts", 1, "reward"), ("rollouts", 1, "texts"),
+]
+
+
+@st.composite
+def mutated_groups(draw):
+    """A valid group line, or one with a field set to an arbitrary JSON value
+    (token ids also drawn from beyond int64)."""
+    obj = json.loads(group_record_line(draw(rollout_groups(graded=True))))
+    if draw(st.booleans()):
+        *parents, key = draw(st.sampled_from(MUTATION_PATHS))
+        target = obj
+        for step in parents:
+            target = target[step]
+        target[key] = draw(json_values | st.integers(-2, 2**64))
+    return json.dumps(obj)
+
+
+# Extremes random generation does not reach: nesting deeper than the decoder's
+# recursion limit, and integers longer than Python's digit limit.
+extreme_lines = st.builds(lambda depth, digits: "[" * depth + "1" * digits,
+                          st.integers(0, 100_000), st.integers(1, 5000))
+fuzz_lines = st.text() | json_values.map(json.dumps) | mutated_groups() | extreme_lines
+
+
+class TestProcessLineFuzz:
+    @given(fuzz_lines, st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_every_line_gives_an_output_line_or_a_diagnostic(self, line, include_stats):
+        lineno, output, diagnostic = _process_line((7, line), KtaeConfig(), include_stats)
+        assert lineno == 7
+        assert (output is None) != (diagnostic is None)
+        if diagnostic is not None:
+            assert diagnostic.startswith("line 7: ")
+        else:
+            record = parse_advantage_record(output)
+            assert (record.token_stats is not None) == include_stats
 
 
 class TestVisualize:

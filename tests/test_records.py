@@ -1,11 +1,17 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, SpecError, compute_advantages, validate_group
+from ktae.core import MAX_TOKEN_ID, AdvantageMatrix, TokenStatsColumns
 from ktae.records import (
+    TOKEN_STAT_KEYS,
     RecordError,
+    _json_values,
     advantage_record_line,
     group_record_line,
     load_config,
@@ -73,6 +79,33 @@ class TestGroupRecords:
             parse_group_record("{not json")
         with pytest.raises(RecordError):
             parse_group_record("[1, 2, 3]")
+
+    @pytest.mark.parametrize("bad", [[1, True], [1, 2.0], [1, "2"]])
+    def test_non_integer_tokens_keep_their_message(self, bad):
+        obj = json.loads(GOOD_LINE)
+        obj["rollouts"][0]["tokens"] = bad
+        with pytest.raises(RecordError) as info:
+            parse_group_record(json.dumps(obj))
+        assert str(info.value) == "rollouts[0].tokens must be an array of integers"
+
+    @pytest.mark.parametrize("bad", [["a", 2, "c"], ["a", None, "c"], ["a", ["b"], "c"]])
+    def test_non_string_texts_keep_their_message(self, bad):
+        obj = json.loads(GOOD_LINE)
+        obj["rollouts"][0]["texts"] = bad
+        with pytest.raises(RecordError) as info:
+            parse_group_record(json.dumps(obj))
+        assert str(info.value) == "rollouts[0].texts must be an array of strings"
+
+    def test_deep_nesting_is_a_record_error(self):
+        with pytest.raises(RecordError) as info:
+            parse_group_record("[" * 100_000)
+        assert str(info.value) == "invalid JSON: nesting too deep"
+        with pytest.raises(RecordError, match="nesting too deep"):
+            parse_advantage_record('{"group_id": ' + "[" * 100_000)
+
+    def test_integer_over_the_digit_limit_is_a_record_error(self):
+        with pytest.raises(RecordError, match="^invalid JSON: "):
+            parse_group_record('{"group_id": "g", "rollouts": [{"tokens": [' + "1" * 5000 + '], "reward": 1}]}')
 
     @given(rollout_groups(graded=True))
     @settings(max_examples=100)
@@ -146,6 +179,136 @@ class TestAdvantageRecords:
         )
         with pytest.raises(RecordError):
             parse_advantage_record(line)
+
+
+def reference_advantage_record_line(group_id: str, matrix, include_stats: bool = False) -> str:
+    """The record writer as it was before the dedupe-and-gather one: build
+    the whole record as a dict and dump it."""
+    obj: dict = {
+        "group_id": group_id,
+        "rollout_advantages": matrix.rollout_advantages.tolist(),
+        "token_advantages": [row.tolist() for row in matrix.token_advantages],
+    }
+    if include_stats:
+        s = matrix.token_stats
+        columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
+                   s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
+        obj["token_stats"] = {
+            str(tok): dict(zip(TOKEN_STAT_KEYS, row))
+            for tok, row in zip(s.tokens.tolist(), zip(*(col.tolist() for col in columns)))
+        }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def wire_groups(draw):
+    """Groups with binary, graded or uniform (degenerate) rewards whose token
+    ids come from a small range and from just below 2^63 - 1."""
+    rewards = draw(st.sampled_from(["binary", "graded", "degenerate"]))
+    token = st.integers(0, 12) | st.integers(MAX_TOKEN_ID - 4, MAX_TOKEN_ID)
+    rollouts = []
+    for _ in range(draw(st.integers(2, 8))):
+        tokens = tuple(draw(st.lists(token, min_size=1, max_size=16)))
+        if rewards == "binary":
+            reward = draw(st.sampled_from([0.0, 1.0]))
+        elif rewards == "graded":
+            reward = draw(st.floats(0.0, 1.0))
+        else:
+            reward = 1.0
+        rollouts.append(Rollout(tokens=tokens, reward=reward))
+    threshold = draw(st.sampled_from([0.5, 0.25]))
+    return RolloutGroup("hyp\u00e9", tuple(rollouts), correctness_threshold=threshold)
+
+
+# A small pool makes most values repeat (the gathering path); any float makes
+# most of them distinct (the direct path).
+record_floats = st.sampled_from([*SPECIAL_FLOATS, 0.25, -1.5, 1e-300]) | st.floats()
+
+
+@st.composite
+def float_matrices(draw):
+    """Matrices of arbitrary floats, including the non-finite ones and -0.0,
+    with token stats columns of the same kind."""
+    pool = draw(st.sampled_from([record_floats, st.sampled_from(SPECIAL_FLOATS)]))
+    g = draw(st.integers(1, 6))
+    base = np.array(draw(st.lists(pool, min_size=g, max_size=g)), dtype=np.float64)
+    rows = tuple(np.array(draw(st.lists(pool, max_size=80)), dtype=np.float64) for _ in range(g))
+    tokens = sorted(draw(st.sets(st.integers(0, MAX_TOKEN_ID), max_size=12)))
+    k = len(tokens)
+    ints = [np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), dtype=np.int64)
+            for _ in range(6)]
+    floats = [np.array(draw(st.lists(pool, min_size=k, max_size=k)), dtype=np.float64) for _ in range(7)]
+    stats = TokenStatsColumns(np.array(tokens, dtype=np.int64), *ints[:4], *floats[:3], *ints[4:], *floats[3:])
+    return AdvantageMatrix(base, rows, stats)
+
+
+class TestRecordWriter:
+    """advantage_record_line must give the same string as dumping the dict."""
+
+    @given(wire_groups(), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_reference_on_computed_groups(self, group, include_stats):
+        matrix = compute_advantages(group)
+        assert advantage_record_line(group.group_id, matrix, include_stats) == \
+            reference_advantage_record_line(group.group_id, matrix, include_stats)
+
+    @given(float_matrices(), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_reference_on_arbitrary_floats(self, matrix, include_stats):
+        assert advantage_record_line("g", matrix, include_stats) == \
+            reference_advantage_record_line("g", matrix, include_stats)
+
+    @pytest.mark.parametrize("repeats", [1, 40])
+    def test_special_values_keep_their_text(self, repeats):
+        values = np.array(SPECIAL_FLOATS * repeats)
+        matrix = AdvantageMatrix(values[:2], (values[2:], values[:0]), compute_advantages(self.group()).token_stats)
+        line = advantage_record_line("g", matrix, include_stats=True)
+        assert line == reference_advantage_record_line("g", matrix, include_stats=True)
+        assert '"rollout_advantages":[0.0,-0.0]' in line
+        assert "Infinity,-Infinity,NaN" in line
+
+    def test_wide_group_with_graded_rewards(self):
+        rng = np.random.default_rng(5)
+        group = RolloutGroup("wide", tuple(
+            Rollout(tuple(rng.integers(0, 5000, 300).tolist()), reward=i / 15) for i in range(16)
+        ))
+        matrix = compute_advantages(group)
+        for include_stats in (False, True):
+            assert advantage_record_line("wide", matrix, include_stats) == \
+                reference_advantage_record_line("wide", matrix, include_stats)
+
+    def test_all_distinct_values(self):
+        rng = np.random.default_rng(6)
+        flat = rng.standard_normal(4 * 512)
+        matrix = AdvantageMatrix(rng.standard_normal(4), tuple(flat.reshape(4, 512)),
+                                 compute_advantages(self.group()).token_stats)
+        assert advantage_record_line("g", matrix) == reference_advantage_record_line("g", matrix)
+
+    @staticmethod
+    def group():
+        return RolloutGroup("g", (Rollout(tokens=(1, 2), reward=1.0), Rollout(tokens=(2, 3), reward=0.0)))
+
+
+class TestJsonValues:
+    def test_special_values(self):
+        assert _json_values(np.array(SPECIAL_FLOATS)) == ["0.0", "-0.0", "Infinity", "-Infinity", "NaN"]
+
+    def test_one_element(self):
+        assert _json_values(np.array([0.1])) == ["0.1"]
+
+    def test_empty(self):
+        assert _json_values(np.array([], dtype=np.float64)) == []
+
+    def test_all_distinct(self):
+        values = np.random.default_rng(7).standard_normal(1000)
+        assert _json_values(values) == [json.dumps(v) for v in values.tolist()]
+
+    @given(st.lists(record_floats, max_size=200))
+    def test_matches_json_dumps(self, values):
+        assert _json_values(np.array(values, dtype=np.float64)) == [json.dumps(v) for v in values]
 
 
 class TestConfigFiles:
