@@ -120,19 +120,8 @@ def advantage_record_line(group_id: str, matrix, include_stats: bool = False) ->
 
 
 def _json_arrays(base: np.ndarray, rows) -> tuple[str, str]:
-    """Compact JSON text of the array ``base`` and of the array of ``rows``.
-
-    When a spread sample of at most 256 of the values is mostly distinct,
-    sorting and gathering would cost more than they save, so both are
-    dumped directly; the text is the same either way. A sample shows fewer
-    repeats than the whole array holds, so gathering is chosen only where
-    it clearly pays.
-    """
+    """Compact JSON text of the array ``base`` and of the array of ``rows``."""
     values = np.concatenate([base, *rows]).astype(np.float64, copy=False)
-    bits = values.view(np.int64)
-    sample = np.sort(bits[::-(-bits.size // 256) or 1])
-    if 2 * np.count_nonzero(sample[1:] != sample[:-1]) >= sample.size:
-        return _dumps(base.tolist()), _dumps([row.tolist() for row in rows])
     texts = _json_values(values)
     ends = list(itertools.accumulate([len(base), *map(len, rows)]))
     rows_text = ",".join("[" + ",".join(texts[start:end]) + "]" for start, end in zip(ends, ends[1:]))
@@ -144,22 +133,15 @@ _STATS_ENTRY = "{" + ",".join(f'"{key}":%s' for key in TOKEN_STAT_KEYS) + "}"
 
 def _token_stats_body(s) -> str:
     """``"<token>":{"a":…,…,"ktv":…}`` for every token, comma-joined; each
-    distinct row of the 11 columns (compared by bit pattern) is formatted once."""
-    if len(s.tokens) == 0:
-        return ""
+    column holds few distinct values, so each is formatted once per column."""
     columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
                s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
-    bits = np.column_stack([col.view(np.int64) for col in columns])
-    order = np.lexsort(bits.T)
-    first, inverse = _runs(bits[order], order)
-    rep = order[first]
-    texts = [_json_numbers(col[rep].tolist()) for col in columns]
-    entries = np.array([_STATS_ENTRY % row for row in zip(*texts)], dtype=object)
-    return ",".join(map('"{}":{}'.format, s.tokens.tolist(), entries[inverse].tolist()))
+    entries = [_STATS_ENTRY % row for row in zip(*map(_json_values, columns))]
+    return ",".join(map('"{}":{}'.format, s.tokens.tolist(), entries))
 
 
 def _json_values(values: np.ndarray) -> list[str]:
-    """JSON text of each element of a float64 array.
+    """JSON text of each element of a float64 or int64 array.
 
     Elements are deduplicated by bit pattern, so ``-0.0`` and ``0.0`` stay
     apart, and the distinct values are formatted by one ``json.dumps`` call.
@@ -168,21 +150,14 @@ def _json_values(values: np.ndarray) -> list[str]:
         return []
     bits = values.view(np.int64)
     order = np.argsort(bits)
-    first, inverse = _runs(bits[order], order)
-    texts = np.array(_json_numbers(values[order[first]].tolist()), dtype=object)
-    return texts[inverse].tolist()
-
-
-def _runs(sorted_keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mark the first element of each run of equal keys (rows, for a 2-D
-    array) and map every original position to the index of its run."""
-    first = np.empty(len(sorted_keys), dtype=bool)
+    sorted_bits = bits[order]
+    first = np.empty(len(order), dtype=bool)
     first[0] = True
-    differs = sorted_keys[1:] != sorted_keys[:-1]
-    first[1:] = differs.any(axis=1) if differs.ndim == 2 else differs
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return first, inverse
+    texts = np.array(_json_numbers(values[order[first]].tolist()), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _json_numbers(values: list) -> list[str]:

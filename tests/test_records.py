@@ -223,8 +223,7 @@ def wire_groups(draw):
     return RolloutGroup("hyp\u00e9", tuple(rollouts), correctness_threshold=threshold)
 
 
-# A small pool makes most values repeat (the gathering path); any float makes
-# most of them distinct (the direct path).
+# A small pool makes most values repeat; any float makes most of them distinct.
 record_floats = st.sampled_from([*SPECIAL_FLOATS, 0.25, -1.5, 1e-300]) | st.floats()
 
 
