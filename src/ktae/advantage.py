@@ -87,14 +87,14 @@ def key_token_value(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic 1 / (1 + exp(-x))."""
+    """Numerically stable logistic 1 / (1 + exp(-x)).
+
+    Both branches share e = exp(-|x|), which never overflows. -|x| is taken
+    as minimum(x, -x) so that a NaN input keeps its sign bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_shift(x: np.ndarray) -> np.ndarray:
@@ -104,49 +104,57 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
 
 
 def _count_occurrences(group: RolloutGroup, sizes: list[int]):
-    """Occurrence counts of every distinct token, from one stable sort.
+    """Occurrence counts of every distinct token, from two unstable sorts.
 
-    Positions are concatenated rollout-major, so the stable sort orders them
-    by (token, rollout). Returns the sorted distinct ``tokens``, each
-    position's ``rollout`` and ``token_index`` into ``tokens``, and per token
-    the rollouts containing it on the correct side (a) and the incorrect side
-    (b) and its occurrences on each side (tf_true, tf_false).
+    Sorting the positions finds the distinct tokens; sorting the dense
+    ``token_index * G + rollout`` keys finds each (token, rollout) pair once.
+    Returns the sorted distinct ``tokens``, each position's ``rollout`` and
+    ``token_index`` into ``tokens``, and per token the rollouts containing it
+    on the correct side (a) and the incorrect side (b) and its occurrences on
+    each side (tf_true, tf_false).
     """
     flat = np.fromiter(
         itertools.chain.from_iterable(r.tokens for r in group.rollouts), dtype=np.int64, count=sum(sizes)
     )
     rollout = np.repeat(np.arange(group.size), sizes)
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat)
     sorted_tokens = flat[order]
-    sorted_rollout = rollout[order]
     new_token = np.empty(flat.size, dtype=bool)
     new_token[0] = True
     np.not_equal(sorted_tokens[1:], sorted_tokens[:-1], out=new_token[1:])
-    new_run = new_token.copy()  # first position of each (token, rollout) run
-    new_run[1:] |= sorted_rollout[1:] != sorted_rollout[:-1]
-    sorted_index = np.cumsum(new_token) - 1
-    token_index = np.empty_like(sorted_index)
-    token_index[order] = sorted_index
+    token_index = np.empty_like(order)
+    token_index[order] = np.cumsum(new_token) - 1
     tokens = sorted_tokens[new_token]
 
-    correct = np.array(group.correct_mask, dtype=bool)[sorted_rollout]
+    correct = np.array(group.correct_mask, dtype=bool)
     m = tokens.size
-    a = np.bincount(sorted_index[new_run & correct], minlength=m)
-    b = np.bincount(sorted_index[new_run & ~correct], minlength=m)
-    tf_true = np.bincount(sorted_index[correct], minlength=m)
-    tf_false = np.bincount(sorted_index[~correct], minlength=m)
+    on_true = correct[rollout]
+    tf_true = np.bincount(token_index[on_true], minlength=m)
+    tf_false = np.bincount(token_index[~on_true], minlength=m)
+    pairs = np.sort(token_index * group.size + rollout)
+    new_pair = np.empty(pairs.size, dtype=bool)
+    new_pair[0] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=new_pair[1:])
+    pair_token, pair_rollout = np.divmod(pairs[new_pair], group.size)
+    pair_true = correct[pair_rollout]
+    a = np.bincount(pair_token[pair_true], minlength=m)
+    b = np.bincount(pair_token[~pair_true], minlength=m)
     return tokens, rollout, token_index, a, b, tf_true, tf_false
 
 
 def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) -> AdvantageMatrix:
     """Run the full pipeline for one group and return the advantage matrix.
 
-    Token ids are processed in sorted order and each id's statistics are
-    computed once and broadcast to all of its positions. A group whose
-    rollouts are all correct or all incorrect either raises DegenerateGroup
-    (degenerate_policy="error") or falls through the normal math, where every
-    table has an empty column, so every key-token-value is exactly zero and
-    the token advantages equal the rollout baseline.
+    Token ids are processed in sorted order. What depends only on a token's
+    contingency table (Fisher probability and score, information gain,
+    Cohen's h, association strength) is computed once per distinct table in
+    the group, the frequency scores once per occurrence count, and the rest
+    once per token id; each id's values are broadcast to all of its
+    positions. A group whose rollouts are all correct or all incorrect either
+    raises DegenerateGroup (degenerate_policy="error") or falls through the
+    normal math, where every table has an empty column, so every
+    key-token-value is exactly zero and the token advantages equal the
+    rollout baseline.
     """
     config = config if config is not None else KtaeConfig()
     group = validate_group(group)
@@ -159,24 +167,35 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     sizes = [len(r.tokens) for r in group.rollouts]
     tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
     n_true = group.num_correct
+    n_false = group.size - n_true
     c = n_true - a
-    d = (group.size - n_true) - b
+    d = n_false - b
 
+    # The group fixes the table margins, so each table is named by its cell
+    # (a, b) and tokens share few of them. Evaluate each table present once.
+    cell = a * (n_false + 1) + b
+    present = np.bincount(cell) > 0
+    table = np.flatnonzero(present)
+    table_slot = np.empty(present.size, dtype=np.intp)
+    table_slot[table] = np.arange(table.size)
+    slot = table_slot[cell]
+    ta, tb = np.divmod(table, n_false + 1)
+    tc, td = n_true - ta, n_false - tb
     lngamma = stats.default_lngamma(group.size)
     if config.fisher_mode == "two_sided":
-        p = stats.fisher_two_sided_prob_array(a, b, c, d, lngamma)
+        table_p = stats.fisher_two_sided_prob_array(ta, tb, tc, td, lngamma)
     else:
-        p = stats.fisher_point_prob_array(a, b, c, d, lngamma)
-    f_score = stats.fisher_score_array(p)
-    ig = stats.info_gain_array(a, b, c, d)
+        table_p = stats.fisher_point_prob_array(ta, tb, tc, td, lngamma)
+    table_f = stats.fisher_score_array(table_p)
+    table_ig = stats.info_gain_array(ta, tb, tc, td)
+    table_h = frequency.cohen_h_array(ta, tb, tc, td)
+    table_strength = config.h1 * table_f + config.h2 * table_ig
 
     lengths = frequency.group_lengths(group)
-    tfs_true = frequency.tf_score_array(tf_true, lengths.len_true, lengths.len_avg, config.k1, config.b)
-    tfs_false = frequency.tf_score_array(tf_false, lengths.len_false, lengths.len_avg, config.k1, config.b)
-    direction = frequency.direction_score_array(
-        a, b, c, d, tfs_true, tfs_false, config.h3, config.tf_floor
-    )
-    ktv = (config.h1 * f_score + config.h2 * ig) * direction
+    tfs_true = _tf_scores(tf_true, lengths.len_true, lengths.len_avg, config)
+    tfs_false = _tf_scores(tf_false, lengths.len_false, lengths.len_avg, config)
+    direction = table_h[slot] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
+    ktv = table_strength[slot] * direction
     delta = sigmoid_shift(ktv)
     base, delta = _snap_to_group_grid(baseline.advantages, delta)
 
@@ -186,9 +205,15 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
         rollout_advantages=base,
         token_advantages=tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes)),
         token_stats=TokenStatsColumns(
-            tokens, a, b, c, d, p, f_score, ig, tf_true, tf_false, tfs_true, tfs_false, direction, ktv
+            tokens, a, b, c, d, table_p[slot], table_f[slot], table_ig[slot],
+            tf_true, tf_false, tfs_true, tfs_false, direction, ktv,
         ),
     )
+
+
+def _tf_scores(tf: np.ndarray, len_side: float, len_avg: float, config: KtaeConfig) -> np.ndarray:
+    """Frequency scores of one side, evaluated once per count 0..max(tf)."""
+    return frequency.tf_score_array(np.arange(tf.max() + 1), len_side, len_avg, config.k1, config.b)[tf]
 
 
 def _snap_to_group_grid(base: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Mapping
@@ -308,9 +309,24 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
         if not isinstance(rollout.reward, (int, float)) or isinstance(rollout.reward, bool) \
                 or not math.isfinite(rollout.reward):
             raise InvalidReward(f"group {group.group_id!r}: rollout {i} reward {rollout.reward!r} is not finite")
+    # numpy infers a flat int64 array only when every id is an integer in
+    # [-2^63, 2^63); anything else is worded by the per-rollout scan.
+    try:
+        ids = np.array(list(itertools.chain.from_iterable(r.tokens for r in group.rollouts)))
+    except ValueError:  # ids that are sequences of unequal lengths
+        ids = None
+    if ids is None or ids.dtype != np.int64 or ids.ndim != 1 or ids.min() < 0:
+        _check_token_ids(group)
+    group.correct_mask  # populate the cached partition
+    return group
+
+
+def _check_token_ids(group: RolloutGroup) -> None:
+    """Raise InvalidToken naming the first rollout with a bad token id."""
+    for i, rollout in enumerate(group.rollouts):
+        if not all(isinstance(t, (int, np.integer)) for t in rollout.tokens):
+            raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a non-integer token id")
         if min(rollout.tokens) < 0:
             raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a negative token id")
         if max(rollout.tokens) > MAX_TOKEN_ID:
             raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a token id above {MAX_TOKEN_ID}")
-    group.correct_mask  # populate the cached partition
-    return group

@@ -73,6 +73,27 @@ def tf_score_array(tf: np.ndarray, len_side: float, len_avg: float, k1: float, b
     return (k1 + 1.0) * tf / np.where(denom > 0.0, denom, 1.0)
 
 
+def cohen_h_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cohen's h between the occurrence proportions of the two sides:
+    arcsin(sqrt(a/(a+c))) - arcsin(sqrt(b/(b+d))), a side-less term being 0."""
+    n_true = a + c
+    n_false = b + d
+    p_true = a / np.maximum(n_true, 1)
+    p_false = b / np.maximum(n_false, 1)
+    return np.where(n_true > 0, np.arcsin(np.sqrt(p_true)), 0.0) - np.where(
+        n_false > 0, np.arcsin(np.sqrt(p_false)), 0.0
+    )
+
+
+def frequency_term_array(
+    tf_score_true: np.ndarray, tf_score_false: np.ndarray, h3: float = 1.0, tf_floor: float = 1e-6
+) -> np.ndarray:
+    """h3 * (T/F - F/T) on the floor-clamped frequency scores T and F."""
+    t = np.maximum(tf_score_true, tf_floor)
+    f = np.maximum(tf_score_false, tf_floor)
+    return h3 * (t / f - f / t)
+
+
 def direction_score_array(
     a: np.ndarray,
     b: np.ndarray,
@@ -85,21 +106,11 @@ def direction_score_array(
 ) -> np.ndarray:
     """Signed direction of each token's association with correctness.
 
-    Cohen's h term: arcsin(sqrt(a/(a+c))) - arcsin(sqrt(b/(b+d))), with a
-    side-less term defined as 0. Frequency term: h3 * (T/F - F/T) on the
-    floor-clamped frequency scores. Antisymmetric under swapping the
+    Cohen's h term (cohen_h_array) plus frequency term
+    (frequency_term_array). Antisymmetric under swapping the
     correct/incorrect columns together with the two frequency scores.
     """
-    n_true = a + c
-    n_false = b + d
-    p_true = a / np.maximum(n_true, 1)
-    p_false = b / np.maximum(n_false, 1)
-    cohen_h = np.where(n_true > 0, np.arcsin(np.sqrt(p_true)), 0.0) - np.where(
-        n_false > 0, np.arcsin(np.sqrt(p_false)), 0.0
-    )
-    t = np.maximum(tf_score_true, tf_floor)
-    f = np.maximum(tf_score_false, tf_floor)
-    return cohen_h + h3 * (t / f - f / t)
+    return cohen_h_array(a, b, c, d) + frequency_term_array(tf_score_true, tf_score_false, h3, tf_floor)
 
 
 def direction_score(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
 from ktae import (
@@ -21,7 +21,9 @@ from ktae import (
     key_token_value,
     validate_group,
 )
+from ktae import frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid, sigmoid_shift
+from ktae.synth import SynthSpec, generate
 
 from conftest import rollout_groups
 
@@ -120,6 +122,28 @@ class TestSigmoid:
         xs = np.linspace(-30, 30, 101)
         expected = 1.0 / (1.0 + np.exp(-xs))
         assert sigmoid(xs) == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def two_branch_sigmoid(x):
+        """The earlier formula: exp(-x) on x >= 0 and exp(x) elsewhere."""
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_matches_the_two_branch_formula_on_edge_values(self):
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 709.0, -709.0, 746.0, -746.0,
+                 5e-324, -5e-324]
+        xs = np.array(edges * 3)  # repeated so both the vector body and the tail see each value
+        assert sigmoid(xs).tobytes() == self.two_branch_sigmoid(xs).tobytes()
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=70))
+    def test_matches_the_two_branch_formula_bit_for_bit(self, values):
+        xs = np.array(values, dtype=np.float64)
+        assert sigmoid(xs).tobytes() == self.two_branch_sigmoid(xs).tobytes()
 
 
 class TestComputeAdvantages:
@@ -273,3 +297,77 @@ class TestTokenStatsColumns:
             s.key_token_value[0] = 1.0
         with pytest.raises(ValueError):
             s.tokens[0] = 5
+
+
+@st.composite
+def kernel_groups(draw):
+    """Groups of 2-64 rollouts over small or huge id ranges, binary or graded
+    rewards with any threshold, degenerate groups included."""
+    g = draw(st.integers(2, 64))
+    top = draw(st.sampled_from([3, 40, 5000, 2**63 - 1]))
+    ids = st.integers(0, top)
+    graded = draw(st.booleans())
+    rewards = st.floats(0.0, 1.0, allow_nan=False) if graded else st.sampled_from([0.0, 1.0])
+    rollouts = tuple(
+        Rollout(tokens=tuple(draw(st.lists(ids, min_size=1, max_size=24))), reward=draw(rewards))
+        for _ in range(g)
+    )
+    threshold = draw(st.floats(-0.5, 1.5, allow_nan=False)) if graded else 0.5
+    return validate_group(RolloutGroup("k", rollouts, correctness_threshold=threshold))
+
+
+class TestTableGather:
+    """compute_advantages evaluates statistics per distinct table and gathers
+    them to tokens; every value must equal a per-token evaluation bit for bit."""
+
+    @given(kernel_groups(), st.sampled_from(["point", "two_sided"]))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_per_token_kernels(self, group, fisher_mode):
+        config = KtaeConfig(fisher_mode=fisher_mode, h1=1.5, h2=0.75, h3=2.0)
+        s = compute_advantages(group, config).token_stats
+        a, b, c, d = s.a, s.b, s.c, s.d
+        fisher = stats.fisher_two_sided_prob_array if fisher_mode == "two_sided" else stats.fisher_point_prob_array
+        p = fisher(a, b, c, d)
+        f_score = stats.fisher_score_array(p)
+        ig = stats.info_gain_array(a, b, c, d)
+        lengths = frequency.group_lengths(group)
+        tfs_true = frequency.tf_score_array(s.tf_true, lengths.len_true, lengths.len_avg, config.k1, config.b)
+        tfs_false = frequency.tf_score_array(s.tf_false, lengths.len_false, lengths.len_avg, config.k1, config.b)
+        direction = frequency.direction_score_array(a, b, c, d, tfs_true, tfs_false, config.h3, config.tf_floor)
+        ktv = (config.h1 * f_score + config.h2 * ig) * direction
+        expected = {
+            "fisher_p": p, "fisher_score": f_score, "info_gain": ig, "tf_score_true": tfs_true,
+            "tf_score_false": tfs_false, "direction": direction, "key_token_value": ktv,
+        }
+        for name, column in expected.items():
+            assert getattr(s, name).dtype == np.float64
+            assert getattr(s, name).tobytes() == column.tobytes(), name
+
+
+class TestWorkCount:
+    """Table statistics run on at most one row per distinct (a, b) table."""
+
+    GROUPS = {
+        "wide": SynthSpec(seed=5, num_groups=1, base_vocab=50_000, rollout_len_range=(1022, 1022),
+                          planted_positive=(50_001,), planted_negative=(50_002,), planted_neutral=(50_003,)),
+        "tall": SynthSpec(seed=5, num_groups=1, group_size=256, base_vocab=50, rollout_len_range=(6, 6),
+                          planted_positive=(51,), planted_negative=(52,), planted_neutral=(53,)),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GROUPS))
+    @pytest.mark.parametrize("fisher_mode", ["point", "two_sided"])
+    def test_kernels_see_one_row_per_table(self, monkeypatch, shape, fisher_mode):
+        group = validate_group(next(iter(generate(self.GROUPS[shape]))))
+        rows = []
+        for name in ("fisher_point_prob_array", "fisher_two_sided_prob_array", "info_gain_array"):
+            kernel = getattr(stats, name)
+
+            def counted(a, *args, _kernel=kernel, **kwargs):
+                rows.append(len(a))
+                return _kernel(a, *args, **kwargs)
+
+            monkeypatch.setattr(stats, name, counted)
+        s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
+        tables = len(set(zip(s.a.tolist(), s.b.tolist())))
+        assert len(s) > tables  # the shape must share tables between tokens
+        assert rows and max(rows) <= tables

@@ -68,6 +68,22 @@ def test_validate_bounds_token_ids_to_int64():
         validate_group(bad)
 
 
+@pytest.mark.parametrize("bad", [(1.5, 2.7, 3), (1, 2.0), (1, "2"), (None,), ((1, 2), 3), ([1], [2])])
+def test_validate_rejects_non_integer_token_ids(bad):
+    group = RolloutGroup("g", (Rollout(tokens=(1, 2, 3), reward=1.0), Rollout(tokens=bad, reward=0.0)))
+    with pytest.raises(InvalidToken, match="rollout 1 contains a non-integer token id"):
+        validate_group(group)
+
+
+def test_validate_keeps_the_first_bad_rollouts_message():
+    rollouts = (Rollout(tokens=(1, -2), reward=1.0), Rollout(tokens=(1.5,), reward=0.0))
+    with pytest.raises(InvalidToken, match="rollout 0 contains a negative token id"):
+        validate_group(RolloutGroup("g", rollouts))
+    rollouts = (Rollout(tokens=(1,), reward=1.0), Rollout(tokens=(2**64, -1), reward=0.0))
+    with pytest.raises(InvalidToken, match="rollout 1 contains a negative token id"):
+        validate_group(RolloutGroup("g", rollouts))
+
+
 def test_validate_rejects_non_finite_reward():
     group = RolloutGroup("g", (Rollout(tokens=(1,), reward=math.nan), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidReward):
