@@ -86,7 +86,7 @@ def cohen_h_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) ->
 
 
 def frequency_term_array(
-    tf_score_true: np.ndarray, tf_score_false: np.ndarray, h3: float = 1.0, tf_floor: float = 1e-6
+    tf_score_true: np.ndarray, tf_score_false: np.ndarray, h3: float, tf_floor: float
 ) -> np.ndarray:
     """h3 * (T/F - F/T) on the floor-clamped frequency scores T and F."""
     t = np.maximum(tf_score_true, tf_floor)
