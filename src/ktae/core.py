@@ -9,6 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import operator
@@ -309,13 +310,13 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
         if not isinstance(rollout.reward, (int, float)) or isinstance(rollout.reward, bool) \
                 or not math.isfinite(rollout.reward):
             raise InvalidReward(f"group {group.group_id!r}: rollout {i} reward {rollout.reward!r} is not finite")
-    # numpy infers a flat int64 array only when every id is an integer in
-    # [-2^63, 2^63); anything else is worded by the per-rollout scan.
+    # array("q") takes only integers within int64; what it rejects, and
+    # negative ids, are worded by the per-rollout scan.
     try:
-        ids = np.array(list(itertools.chain.from_iterable(r.tokens for r in group.rollouts)))
-    except ValueError:  # ids that are sequences of unequal lengths
+        ids = array.array("q", list(itertools.chain.from_iterable(r.tokens for r in group.rollouts)))
+    except (TypeError, OverflowError):
         ids = None
-    if ids is None or ids.dtype != np.int64 or ids.ndim != 1 or ids.min() < 0:
+    if ids is None or np.frombuffer(ids, dtype=np.int64).min() < 0:
         _check_token_ids(group)
     group.correct_mask  # populate the cached partition
     return group
