@@ -7,17 +7,13 @@ key-token-value built from contingency-table statistics (Fisher's exact
 test, information gain), BM25-style term-frequency saturation, and a signed
 direction score, then shifted through a sigmoid into a bounded per-position
 delta.
+
+The names below are the public API. The array kernels live in
+``ktae.stats`` and ``ktae.frequency``, and the exact references that
+certify them in ``ktae.oracle``.
 """
 
-from .advantage import (
-    GrpoBaseline,
-    compute_advantages,
-    dapo_admissible,
-    grpo_advantages,
-    key_token_value,
-    sigmoid,
-    sigmoid_shift,
-)
+from .advantage import compute_advantages, dapo_admissible, grpo_advantages, sigmoid, sigmoid_shift
 from .core import (
     AdvantageMatrix,
     ConfigError,
@@ -37,24 +33,6 @@ from .core import (
     TooFewRollouts,
     validate_group,
 )
-from .frequency import GroupLengths, direction_score, group_lengths, raw_term_frequencies, tf_score
-from .oracle import (
-    ExactRational,
-    TableTooLarge,
-    brute_force_stats,
-    compare_fast_vs_exact,
-    fisher_exact_rational,
-    fisher_two_sided_enum,
-)
-from .stats import (
-    LogGammaTable,
-    cond_entropy,
-    entropy_y,
-    fisher_point_prob,
-    fisher_score,
-    fisher_two_sided_prob,
-    info_gain,
-)
 from .synth import SpecError, SynthSpec, generate, recovery_report
 
 __version__ = "0.1.0"
@@ -67,43 +45,23 @@ __all__ = [
     "DomainError",
     "EmptyGroup",
     "EmptyRollout",
-    "ExactRational",
-    "GroupLengths",
-    "GrpoBaseline",
     "InvalidReward",
     "InvalidToken",
     "KtaeConfig",
     "KtaeError",
     "LengthMismatch",
-    "LogGammaTable",
     "Rollout",
     "RolloutGroup",
     "SpecError",
     "SynthSpec",
-    "TableTooLarge",
     "TokenStats",
     "TooFewRollouts",
-    "brute_force_stats",
-    "compare_fast_vs_exact",
     "compute_advantages",
-    "cond_entropy",
     "dapo_admissible",
-    "direction_score",
-    "entropy_y",
-    "fisher_exact_rational",
-    "fisher_point_prob",
-    "fisher_score",
-    "fisher_two_sided_enum",
-    "fisher_two_sided_prob",
     "generate",
-    "group_lengths",
     "grpo_advantages",
-    "info_gain",
-    "key_token_value",
-    "raw_term_frequencies",
     "recovery_report",
     "sigmoid",
     "sigmoid_shift",
-    "tf_score",
     "validate_group",
 ]

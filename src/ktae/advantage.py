@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,17 +39,9 @@ from .core import (
 DELTA_MAX = math.nextafter(0.5, 0.0)
 
 
-@dataclass(frozen=True)
-class GrpoBaseline:
-    """Group-normalized rollout advantages and the moments behind them."""
-
-    mean_reward: float
-    std_reward: float
-    advantages: np.ndarray
-
-
-def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> GrpoBaseline:
-    """(reward - mean) / max(population std, std_epsilon) per rollout.
+def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> np.ndarray:
+    """(reward - mean) / max(population std, std_epsilon) per rollout, as a
+    read-only array.
 
     A group whose rewards are all equal gets exactly zero advantages; the
     epsilon guard only matters for tiny-but-nonzero variance.
@@ -70,20 +61,13 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> Grpo
     else:
         advantages = (arr - mean) / max(std, std_epsilon)
     advantages.flags.writeable = False
-    return GrpoBaseline(mean, std, advantages)
+    return advantages
 
 
 def dapo_admissible(group: RolloutGroup) -> bool:
     """True iff the group mixes correct and incorrect rollouts; groups with a
     single uniform outcome carry no contrastive signal."""
     return 0 < group.num_correct < group.size
-
-
-def key_token_value(
-    fisher_score: float, info_gain: float, direction: float, h1: float = 1.0, h2: float = 2.0
-) -> float:
-    """Association strength times direction: (h1*F + h2*IG) * D."""
-    return (h1 * fisher_score + h2 * info_gain) * direction
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -197,7 +181,7 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     direction = table_h[slot] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
     ktv = table_strength[slot] * direction
     delta = sigmoid_shift(ktv)
-    base, delta = _snap_to_group_grid(baseline.advantages, delta)
+    base, delta = _snap_to_group_grid(baseline, delta)
 
     flat = base[rollout] + delta[token_index]
     flat.flags.writeable = False

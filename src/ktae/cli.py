@@ -10,6 +10,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ from .records import (
     advantage_record_line,
     config_from_mapping,
     load_config,
-    load_synth_spec,
+    load_flat_mapping,
     parse_advantage_record,
     parse_group_record,
 )
@@ -48,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--output", required=True, help="where to write advantage records")
     p_compute.add_argument("--config", help="flat JSON config file")
     p_compute.add_argument("--stats", action="store_true", help="embed per-token diagnostics")
-    p_compute.add_argument("--parallel", type=int, default=1, metavar="N", help="worker processes")
+    p_compute.add_argument("--parallel", type=int, default=1, metavar="N",
+                           help="worker processes, capped at the CPU count")
     p_compute.add_argument("--skip-bad", action="store_true", help="skip malformed records instead of stopping")
     _add_config_flags(p_compute)
     p_compute.set_defaults(func=cmd_compute)
@@ -127,19 +129,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+    # More workers than CPUs only add fork and memory cost; output is the same.
+    workers = min(args.parallel, os.cpu_count() or 1)
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
     failed = False
     with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst:
         items = _numbered_lines(src)
-        if args.parallel == 1:
+        if workers == 1:
             results = map(worker, items)
             failed = _drain(results, dst, args.skip_bad)
         else:
             # Batched submission keeps memory bounded on huge inputs while
             # preserving input order (executor.map is order-stable).
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 while True:
-                    batch = list(itertools.islice(items, args.parallel * 64))
+                    batch = list(itertools.islice(items, workers * 64))
                     if not batch:
                         break
                     if _drain(pool.map(worker, batch), dst, args.skip_bad):
@@ -179,6 +183,15 @@ def cmd_visualize(args: argparse.Namespace) -> int:
     Path(args.output).write_text(document, encoding="utf-8")
     print(f"wrote {args.output}")
     return 0
+
+
+def load_synth_spec(path: str | Path) -> SynthSpec:
+    """Read a flat JSON benchmark spec; missing fields keep their defaults."""
+    mapping = load_flat_mapping(path, "benchmark spec")
+    try:
+        return SynthSpec.from_dict(mapping)
+    except TypeError as exc:
+        raise SpecError(f"bad benchmark spec: {exc}") from None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -297,8 +297,9 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
     """
     if group.size < 2:
         raise EmptyGroup(f"group {group.group_id!r} has {group.size} rollout(s); need at least 2")
-    if not isinstance(group.correctness_threshold, (int, float)) or not math.isfinite(group.correctness_threshold):
-        raise InvalidReward(f"group {group.group_id!r}: correctness_threshold must be finite")
+    threshold = group.correctness_threshold
+    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) or not math.isfinite(threshold):
+        raise InvalidReward(f"group {group.group_id!r}: correctness_threshold {threshold!r} is not a finite number")
     for i, rollout in enumerate(group.rollouts):
         if len(rollout.tokens) == 0:
             raise EmptyRollout(f"group {group.group_id!r}: rollout {i} has no tokens")

@@ -1,13 +1,14 @@
 """Term-frequency scores over the correct/incorrect rollout sides and the
-signed direction score that orients each token's association.
+two terms of the signed direction score that orients each token's association.
 
 The frequency score is the BM25 saturation term only (no IDF, no query
 structure): occurrences of a token on one side, saturating toward k1+1 and
 normalized by that side's mean rollout length against the group mean.
-Direction combines Cohen's h between the two occurrence proportions with the
-ratio difference of the two frequency scores; a token concentrated on one
-side therefore gets a large signed value, with tf_floor keeping the ratio
-finite when the other side never saw the token at all.
+Direction is Cohen's h between the two occurrence proportions
+(cohen_h_array) plus the ratio difference of the two frequency scores
+(frequency_term_array), antisymmetric under swapping the two sides. A token
+concentrated on one side therefore gets a large signed value, with tf_floor
+keeping the ratio finite when the other side never saw the token at all.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContingencyTable, DomainError, RolloutGroup
+from .core import DomainError, RolloutGroup
 
 
 @dataclass(frozen=True)
@@ -40,33 +41,12 @@ def group_lengths(group: RolloutGroup) -> GroupLengths:
     return GroupLengths(len_true, len_false, len_avg)
 
 
-def raw_term_frequencies(group: RolloutGroup, token: int) -> tuple[int, int]:
-    """Total occurrence counts of ``token`` across the correct rollouts and
-    across the incorrect rollouts (concatenation order is irrelevant)."""
-    tf_true = tf_false = 0
-    for is_correct, rollout in zip(group.correct_mask, group.rollouts):
-        count = rollout.tokens.count(token)
-        if is_correct:
-            tf_true += count
-        else:
-            tf_false += count
-    return tf_true, tf_false
-
-
-def tf_score(tf: float, len_side: float, len_avg: float, k1: float = 2.0, b: float = 0.5) -> float:
-    """Standardized term frequency: (k1+1)*tf / (k1*(1 - b + b*len_side/len_avg) + tf).
-
-    Zero at tf = 0, strictly increasing in tf, saturating toward k1 + 1.
-    """
-    if len_avg <= 0:
-        raise DomainError(f"len_avg must be positive, got {len_avg}")
-    if tf == 0:
-        return 0.0
-    return (k1 + 1.0) * tf / (k1 * (1.0 - b + b * (len_side / len_avg)) + tf)
-
-
 def tf_score_array(tf: np.ndarray, len_side: float, len_avg: float, k1: float, b: float) -> np.ndarray:
-    """Vectorized tf_score for one side (len_side is constant per side)."""
+    """Standardized term frequency of one side: (k1+1)*tf / (k1*(1 - b + b*len_side/len_avg) + tf).
+
+    Zero at tf = 0, strictly increasing in tf, saturating toward k1 + 1;
+    len_side is constant per side.
+    """
     if len_avg <= 0:
         raise DomainError(f"len_avg must be positive, got {len_avg}")
     denom = k1 * (1.0 - b + b * (len_side / len_avg)) + tf
@@ -92,40 +72,3 @@ def frequency_term_array(
     t = np.maximum(tf_score_true, tf_floor)
     f = np.maximum(tf_score_false, tf_floor)
     return h3 * (t / f - f / t)
-
-
-def direction_score_array(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
-    tf_score_true: np.ndarray,
-    tf_score_false: np.ndarray,
-    h3: float = 1.0,
-    tf_floor: float = 1e-6,
-) -> np.ndarray:
-    """Signed direction of each token's association with correctness.
-
-    Cohen's h term (cohen_h_array) plus frequency term
-    (frequency_term_array). Antisymmetric under swapping the
-    correct/incorrect columns together with the two frequency scores.
-    """
-    return cohen_h_array(a, b, c, d) + frequency_term_array(tf_score_true, tf_score_false, h3, tf_floor)
-
-
-def direction_score(
-    table: ContingencyTable,
-    tf_score_true: float,
-    tf_score_false: float,
-    h3: float = 1.0,
-    tf_floor: float = 1e-6,
-) -> float:
-    arrays = tuple(np.asarray([v], dtype=np.int64) for v in table)
-    out = direction_score_array(
-        *arrays,
-        np.asarray([tf_score_true], dtype=np.float64),
-        np.asarray([tf_score_false], dtype=np.float64),
-        h3,
-        tf_floor,
-    )
-    return float(out[0])

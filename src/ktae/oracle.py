@@ -9,20 +9,19 @@ explicitly pits the two against each other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import ContingencyTable, KtaeConfig, KtaeError, RolloutGroup, TokenStats, validate_group
 
 # Exact hypergeometric arithmetic is capped: factorials stay exact at any
 # size, but enumeration cost and downstream float conversion do not.
 MAX_EXACT_N = 64
-
-# Rationals are kept as stdlib Fractions: arbitrary-precision integers,
-# always normalized to lowest terms with a positive denominator.
-ExactRational = Fraction
 
 
 class TableTooLarge(KtaeError):
@@ -88,6 +87,19 @@ def brute_force_stats(group: RolloutGroup, token: int) -> ContingencyTable:
     return ContingencyTable(a, b, c, d)
 
 
+def raw_term_frequencies(group: RolloutGroup, token: int) -> tuple[int, int]:
+    """Total occurrence counts of ``token`` across the correct rollouts and
+    across the incorrect rollouts, by one naive ``count`` per rollout."""
+    tf_true = tf_false = 0
+    for is_correct, rollout in zip(group.correct_mask, group.rollouts):
+        count = rollout.tokens.count(token)
+        if is_correct:
+            tf_true += count
+        else:
+            tf_false += count
+    return tf_true, tf_false
+
+
 class ReferenceAdvantages(NamedTuple):
     """What reference_advantages computes for one group, with no grid snap."""
 
@@ -107,7 +119,8 @@ def _entropy_bits(k: int, n: int) -> float:
 def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) -> ReferenceAdvantages:
     """The whole pipeline as a plain per-token loop, for checking the fast path.
 
-    Each distinct token gets its table from brute_force_stats, its Fisher
+    Each distinct token gets its table from brute_force_stats, its term
+    frequencies from raw_term_frequencies, its Fisher
     probability as an exact Fraction (point or same-margin enumeration), and
     information gain, term-frequency scores, direction and key-token-value
     from direct float formulas. Nothing is snapped to a grid, so values agree
@@ -131,7 +144,7 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
     }
     len_side = {side: sum(ls) / len(ls) if ls else len_avg for side, ls in side_lengths.items()}
 
-    def tf_score(tf: int, side: bool) -> float:
+    def saturated_tf(tf: int, side: bool) -> float:
         if tf == 0:
             return 0.0
         return (config.k1 + 1.0) * tf / (config.k1 * (1.0 - config.b + config.b * len_side[side] / len_avg) + tf)
@@ -151,9 +164,8 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
         cond = ((a + b) / n) * _entropy_bits(a, a + b) + ((c + d) / n) * _entropy_bits(c, c + d)
         info_gain = max(_entropy_bits(a + c, n) - cond, 0.0)
 
-        tf_true = sum(r.tokens.count(token) for r, ok in zip(group.rollouts, group.correct_mask) if ok)
-        tf_false = sum(r.tokens.count(token) for r, ok in zip(group.rollouts, group.correct_mask) if not ok)
-        score_true, score_false = tf_score(tf_true, True), tf_score(tf_false, False)
+        tf_true, tf_false = raw_term_frequencies(group, token)
+        score_true, score_false = saturated_tf(tf_true, True), saturated_tf(tf_false, False)
         cohen_h = (math.asin(math.sqrt(a / (a + c))) if a + c else 0.0) - (
             math.asin(math.sqrt(b / (b + d))) if b + d else 0.0
         )
@@ -186,18 +198,26 @@ def compare_fast_vs_exact(max_n: int, lngamma=None) -> tuple[float, ContingencyT
     Returns the worst relative error over all tables with 1 <= n <= max_n and
     the table achieving it. ``lngamma`` is forwarded to the fast path so a
     deliberately perturbed table can be injected when testing this harness.
+    The fast path is evaluated once, on all tables at the same time.
     """
-    from .stats import fisher_point_prob
+    from .stats import fisher_point_prob_array
 
     if max_n > MAX_EXACT_N:
         raise TableTooLarge(f"max_n {max_n} exceeds exact bound {MAX_EXACT_N}")
+
+    def tables():
+        return itertools.chain.from_iterable(all_tables_with_total(n) for n in range(1, max_n + 1))
+
+    # Cells as one int64 array, not a list of tables: 814k tables at max_n = 64.
+    cells = np.fromiter(itertools.chain.from_iterable(tables()), dtype=np.int64).reshape(-1, 4)
+    if not len(cells):
+        return 0.0, None
+    fast = fisher_point_prob_array(*cells.T, lngamma=lngamma)
     worst_err = 0.0
     worst_table: ContingencyTable | None = None
-    for n in range(1, max_n + 1):
-        for table in all_tables_with_total(n):
-            fast = fisher_point_prob(table, lngamma=lngamma)
-            exact = fisher_exact_rational(table)
-            rel = abs(Fraction(fast) - exact) / exact
-            if rel > worst_err:
-                worst_err, worst_table = float(rel), table
+    for table, p in zip(tables(), fast):
+        exact = fisher_exact_rational(table)
+        rel = abs(Fraction(p) - exact) / exact
+        if rel > worst_err:
+            worst_err, worst_table = float(rel), table
     return worst_err, worst_table

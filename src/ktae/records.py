@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigError, KtaeConfig, KtaeError, Rollout, RolloutGroup
-from .synth import SpecError, SynthSpec
 
 TOKEN_STAT_KEYS = ("a", "b", "c", "d", "p", "F", "IG", "TF_T", "TF_F", "D", "ktv")
 
@@ -209,16 +208,7 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
 
 def load_config(path: str | Path) -> KtaeConfig:
     """Read a flat JSON config file; missing fields keep their defaults."""
-    return config_from_mapping(_load_flat_mapping(path, "config"))
-
-
-def load_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a flat JSON benchmark spec; missing fields keep their defaults."""
-    mapping = _load_flat_mapping(path, "benchmark spec")
-    try:
-        return SynthSpec.from_dict(mapping)
-    except TypeError as exc:
-        raise SpecError(f"bad benchmark spec: {exc}") from None
+    return config_from_mapping(load_flat_mapping(path, "config"))
 
 
 def config_from_mapping(mapping: dict) -> KtaeConfig:
@@ -228,7 +218,8 @@ def config_from_mapping(mapping: dict) -> KtaeConfig:
         raise ConfigError(f"bad config: {exc}") from None
 
 
-def _load_flat_mapping(path: str | Path, what: str) -> dict:
+def load_flat_mapping(path: str | Path, what: str) -> dict:
+    """Read a JSON object from ``path``; any failure is a ConfigError naming ``what``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

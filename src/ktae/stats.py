@@ -4,9 +4,9 @@ information gain over 2x2 contingency tables.
 Factorials are evaluated in log space (sums and differences of ln-gamma) so
 the point hypergeometric probability stays accurate for any group size; a
 chi-squared approximation would be unreliable at the small sample counts
-(8-16 rollouts) this package is built for. Every public scalar operation
-delegates to the vectorized kernel the batch pipeline uses, so the two can
-never drift apart.
+(8-16 rollouts) this package is built for. Each statistic has exactly one
+kernel, vectorized over the four cell arrays (a, b, c, d) of many tables;
+the exact references that certify them live in ``ktae.oracle``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContingencyTable, DomainError
-
 # Smallest positive double: probabilities are floored here so exp underflow
-# can never push them to an exact 0, which sits outside fisher_score's domain.
+# can never push them to an exact 0, which sits outside fisher_score_array's domain.
 _TINY = math.nextafter(0.0, 1.0)
 
 # Relative slack when deciding whether an enumerated table is "at most as
@@ -59,10 +57,6 @@ def _ln_comb(lf: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return lf[n] - lf[k] - lf[n - k]
 
 
-def _as_int_arrays(table: ContingencyTable) -> tuple[np.ndarray, ...]:
-    return tuple(np.asarray([v], dtype=np.int64) for v in table)
-
-
 def fisher_point_prob_array(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, lngamma: LogGammaTable | None = None
 ) -> np.ndarray:
@@ -75,11 +69,6 @@ def fisher_point_prob_array(
     lf = (default_lngamma(int(n.max())) if lngamma is None else lngamma).values
     log_p = _ln_comb(lf, a + b, a) + _ln_comb(lf, c + d, c) - _ln_comb(lf, n, a + c)
     return np.clip(np.exp(log_p), _TINY, 1.0)
-
-
-def fisher_point_prob(table: ContingencyTable, lngamma: LogGammaTable | None = None) -> float:
-    """Point hypergeometric probability of one table, in (0, 1]."""
-    return float(fisher_point_prob_array(*_as_int_arrays(table), lngamma=lngamma)[0])
 
 
 def fisher_two_sided_prob_array(
@@ -107,26 +96,13 @@ def fisher_two_sided_prob_array(
     return np.clip(total, _TINY, 1.0)
 
 
-def fisher_two_sided_prob(table: ContingencyTable, lngamma: LogGammaTable | None = None) -> float:
-    return float(fisher_two_sided_prob_array(*_as_int_arrays(table), lngamma=lngamma)[0])
-
-
-def fisher_score(p: float) -> float:
-    """Map a test probability to an association strength in {0} U (e^-2, 1).
-
-    Complete no-association (p = 1) scores exactly 0; as p falls toward 0 the
-    score exp(-2p) rises toward 1, amplifying differences between the small
-    probabilities where the evidence actually lives.
-    """
-    if not p > 0.0 or p > 1.0 + 1e-12 or math.isnan(p):
-        raise DomainError(f"fisher_score expects p in (0, 1], got {p!r}")
-    if abs(p - 1.0) <= 1e-12:
-        return 0.0
-    return math.exp(-2.0 * p)
-
-
 def fisher_score_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized fisher_score; assumes p already clamped into (0, 1]."""
+    """Map test probabilities in (0, 1] to association strengths in {0} U (e^-2, 1).
+
+    Complete no-association (p = 1, within 1e-12) scores exactly 0; as p falls
+    toward 0 the score exp(-2p) rises toward 1, amplifying differences between
+    the small probabilities where the evidence actually lives.
+    """
     return np.where(np.abs(p - 1.0) <= 1e-12, 0.0, np.exp(-2.0 * p))
 
 
@@ -143,37 +119,16 @@ def binary_entropy_from_counts(k: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(n > 0, h, 0.0)
 
 
-def entropy_y(table: ContingencyTable) -> float:
-    """Entropy of rollout correctness (column margins), in [0, 1] bits."""
-    t = np.asarray([table.n_true], dtype=np.int64)
-    n = np.asarray([table.n], dtype=np.int64)
-    return float(binary_entropy_from_counts(t, n)[0])
+def info_gain_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Entropy reduction of correctness from observing token occurrence, clamped at 0.
 
-
-def cond_entropy_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Correctness entropy conditioned on token occurrence, vectorized.
-
-    Mixture of the contains/omits branch entropies; a branch with zero weight
-    contributes nothing.
+    The conditional entropy is the mixture of the contains/omits branch
+    entropies; a branch with zero weight contributes nothing.
     """
     n = a + b + c + d
     contains = a + b
     omits = c + d
     h_contains = binary_entropy_from_counts(a, contains)
     h_omits = binary_entropy_from_counts(c, omits)
-    return (contains / n) * h_contains + (omits / n) * h_omits
-
-
-def cond_entropy(table: ContingencyTable) -> float:
-    return float(cond_entropy_array(*_as_int_arrays(table))[0])
-
-
-def info_gain_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Entropy reduction from observing token occurrence, clamped at 0."""
-    n = a + b + c + d
     h_y = binary_entropy_from_counts(a + c, n)
-    return np.maximum(h_y - cond_entropy_array(a, b, c, d), 0.0)
-
-
-def info_gain(table: ContingencyTable) -> float:
-    return float(info_gain_array(*_as_int_arrays(table))[0])
+    return np.maximum(h_y - ((contains / n) * h_contains + (omits / n) * h_omits), 0.0)

@@ -37,6 +37,22 @@ def rollout_groups(draw, min_g=2, max_g=8, max_len=12, vocab=14, graded=False):
     return RolloutGroup(group_id="hyp", rollouts=tuple(rollouts))
 
 
+def at_one(kernel, *args, **kwargs) -> float:
+    """The value of an elementwise array kernel at one point, as a float.
+
+    A ContingencyTable argument becomes the four one-element int64 cell
+    arrays (a, b, c, d); any other positional argument becomes a one-element
+    array. Keyword arguments are passed through unchanged.
+    """
+    columns = []
+    for arg in args:
+        if isinstance(arg, ContingencyTable):
+            columns += [np.array([cell], dtype=np.int64) for cell in arg]
+        else:
+            columns.append(np.array([arg]))
+    return float(kernel(*columns, **kwargs)[0])
+
+
 def random_tables(rng: np.random.Generator, count: int, max_cell: int = 16):
     """Vectorized batch of random tables with total >= 1, as four arrays."""
     cells = rng.integers(0, max_cell + 1, size=(count, 4))

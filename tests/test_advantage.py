@@ -15,17 +15,14 @@ from ktae import (
     TooFewRollouts,
     compute_advantages,
     dapo_admissible,
-    fisher_score,
-    fisher_two_sided_prob,
     grpo_advantages,
-    key_token_value,
     validate_group,
 )
 from ktae import frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid, sigmoid_shift
 from ktae.synth import SynthSpec, generate
 
-from conftest import rollout_groups
+from conftest import at_one, rollout_groups
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,23 +38,22 @@ def binary_group(flags, token_lists, group_id="g"):
 class TestGrpoAdvantages:
     def test_balanced_binary_rewards(self):
         baseline = grpo_advantages([1.0, 1.0, 0.0, 0.0])
-        assert baseline.advantages.tolist() == [1.0, 1.0, -1.0, -1.0]
-        assert baseline.mean_reward == 0.5
-        assert baseline.std_reward == 0.5
+        assert baseline.tolist() == [1.0, 1.0, -1.0, -1.0]
+        assert not baseline.flags.writeable
 
     def test_identical_rewards_give_exact_zeros(self):
         baseline = grpo_advantages([1.0, 1.0, 1.0, 1.0])
-        assert baseline.advantages.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert baseline.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_single_positive_reward(self):
         # mean 1/4, population std sqrt(3)/4
         baseline = grpo_advantages([1.0, 0.0, 0.0, 0.0])
         expected = [SQRT3, -1.0 / SQRT3, -1.0 / SQRT3, -1.0 / SQRT3]
-        assert baseline.advantages == pytest.approx(expected, rel=1e-12)
+        assert baseline == pytest.approx(expected, rel=1e-12)
 
     def test_uses_population_std(self):
-        baseline = grpo_advantages([2.0, 0.0])
-        assert baseline.std_reward == 1.0
+        # mean 1, population std 1 (the sample std would be sqrt(2))
+        assert grpo_advantages([2.0, 0.0]).tolist() == [1.0, -1.0]
 
     def test_rejects_short_groups(self):
         with pytest.raises(TooFewRollouts):
@@ -73,8 +69,8 @@ class TestGrpoAdvantages:
 
     def test_tiny_variance_is_guarded_not_zeroed(self):
         baseline = grpo_advantages([0.0, 1e-12], std_epsilon=1e-8)
-        assert baseline.advantages[1] > 0
-        assert np.isfinite(baseline.advantages).all()
+        assert baseline[1] > 0
+        assert np.isfinite(baseline).all()
 
 
 class TestDapoAdmissible:
@@ -90,21 +86,38 @@ class TestDapoAdmissible:
 
 
 class TestKeyTokenValue:
+    """key_token_value = (h1*F + h2*IG) * D, read from compute_advantages columns."""
+
+    # token 7 in every correct rollout and no incorrect one: table (4, 0, 0, 4)
+    SPLIT = ([True] * 4 + [False] * 4, [(7, 1), (7, 2), (7, 7, 3), (7, 1, 1)] + [(1,), (2, 2), (3,), (4, 1)])
+
     def test_zero_strength_kills_any_direction(self):
-        assert key_token_value(0.0, 0.0, 123.4) == 0.0
+        s = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h1=0.0, h2=0.0)).token_stats
+        assert np.all(s.direction != 0.0)
+        assert np.all(s.key_token_value == 0.0)
 
     def test_plain_multiplication(self):
-        assert key_token_value(1.5, 0.0, -0.8, h1=1.0, h2=2.0) == pytest.approx(-1.2, rel=1e-15)
+        s = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h1=1.0, h2=2.0)).token_stats
+        expected = (1.0 * s.fisher_score + 2.0 * s.info_gain) * s.direction
+        assert s.key_token_value == pytest.approx(expected, rel=1e-15)
 
     def test_composed_perfect_split_factors(self):
-        # F and IG of table (4,0,0,4) composed with a half-pi direction
-        value = key_token_value(fisher_score(1.0 / 70.0), 1.0, math.pi / 2)
+        # F and IG of table (4,0,0,4) composed with a half-pi direction (h3 = 0
+        # leaves Cohen's h alone)
+        row = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h3=0.0)).token_stats[7]
+        assert row.table == CT(4, 0, 0, 4)
+        assert row.direction == math.pi / 2
+        value = row.key_token_value
         assert value == pytest.approx(4.6681441639501235, rel=1e-12)
         assert value == pytest.approx((math.exp(-2.0 / 70.0) + 2.0) * math.pi / 2, rel=1e-15)
 
-    def test_sign_tracks_direction_when_strength_positive(self):
-        assert key_token_value(0.5, 0.5, -2.0) < 0
-        assert key_token_value(0.5, 0.5, 2.0) > 0
+    @given(rollout_groups())
+    @settings(max_examples=100)
+    def test_sign_tracks_direction_when_strength_positive(self, group):
+        s = compute_advantages(validate_group(group)).token_stats
+        strong = 1.0 * s.fisher_score + 2.0 * s.info_gain > 0
+        assert np.all(s.key_token_value[strong & (s.direction < 0)] < 0)
+        assert np.all(s.key_token_value[strong & (s.direction > 0)] > 0)
 
 
 class TestSigmoid:
@@ -222,9 +235,10 @@ class TestComputeAdvantages:
             [(1, 2), (1, 3), (2, 4), (5, 1)],
         )
         matrix = compute_advantages(group, KtaeConfig(fisher_mode="two_sided"))
-        for token, stats in matrix.token_stats.items():
-            assert stats.fisher_p == pytest.approx(fisher_two_sided_prob(stats.table), rel=1e-12)
-            assert 0.0 < stats.fisher_p <= 1.0
+        for token, row in matrix.token_stats.items():
+            two_sided = at_one(stats.fisher_two_sided_prob_array, row.table)
+            assert row.fisher_p == pytest.approx(two_sided, rel=1e-12)
+            assert 0.0 < row.fisher_p <= 1.0
 
     def test_matrix_shapes_match_the_group(self):
         group = binary_group([True, False], [(1, 2, 3), (4, 5)])
@@ -333,7 +347,9 @@ class TestTableGather:
         lengths = frequency.group_lengths(group)
         tfs_true = frequency.tf_score_array(s.tf_true, lengths.len_true, lengths.len_avg, config.k1, config.b)
         tfs_false = frequency.tf_score_array(s.tf_false, lengths.len_false, lengths.len_avg, config.k1, config.b)
-        direction = frequency.direction_score_array(a, b, c, d, tfs_true, tfs_false, config.h3, config.tf_floor)
+        direction = frequency.cohen_h_array(a, b, c, d) + frequency.frequency_term_array(
+            tfs_true, tfs_false, config.h3, config.tf_floor
+        )
         ktv = (config.h1 * f_score + config.h2 * ig) * direction
         expected = {
             "fisher_p": p, "fisher_score": f_score, "info_gain": ig, "tf_score_true": tfs_true,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ContingencyTable, KtaeConfig
-from ktae.cli import _process_line, main
+import ktae.cli as cli
+from ktae import ContingencyTable, KtaeConfig, SpecError
+from ktae.cli import _process_line, load_synth_spec, main
 from ktae.records import group_record_line, parse_advantage_record
 from ktae.synth import SynthSpec, generate
 
@@ -174,6 +175,43 @@ class TestCompute:
         assert main(["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_parallel_is_capped_at_the_cpu_count(self, batch, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """In-process stand-in for ProcessPoolExecutor: records its size and batches."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.batches = []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                self.batches.append(len(items))
+                return map(fn, items)
+
+        many = tmp_path / "many.jsonl"
+        many.write_text(batch.read_text() * 20)  # 200 lines
+        serial, capped = tmp_path / "serial.jsonl", tmp_path / "capped.jsonl"
+        assert main(["compute", "--input", str(many), "--output", str(serial)]) == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "100000"]) == 0
+        assert [pool.max_workers for pool in pools] == [3]
+        assert pools[0].batches == [3 * 64, 200 - 3 * 64]
+        assert capped.read_bytes() == serial.read_bytes()
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, run serially
+        assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "4"]) == 0
+        assert len(pools) == 1
+        assert capped.read_bytes() == serial.read_bytes()
+
     def test_invalid_parallel_exits_2(self, batch, tmp_path):
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(batch), "--output", str(out), "--parallel", "0"]) == 2
@@ -322,6 +360,22 @@ class TestBench:
         assert "config error" in capsys.readouterr().err
 
 
+class TestSynthSpecFiles:
+    def test_lists_become_tuples(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"rollout_len_range": [4, 8], "planted_positive": [901], "num_groups": 3,
+                                    "base_vocab": 40, "planted_negative": [902], "planted_neutral": [903]}))
+        spec = load_synth_spec(path)
+        assert spec.rollout_len_range == (4, 8)
+        assert spec.planted_positive == (901,)
+
+    def test_invariant_violations_surface_as_spec_errors(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"correct_fraction": 0.99}))
+        with pytest.raises(SpecError):
+            load_synth_spec(path)
+
+
 class TestOracleCheck:
     def test_passes_within_tolerance(self, capsys):
         assert main(["oracle-check", "--max-n", "8"]) == 0
@@ -331,8 +385,6 @@ class TestOracleCheck:
         assert main(["oracle-check", "--max-n", "0"]) == 0
 
     def test_fault_is_reported_with_a_counterexample(self, monkeypatch, capsys):
-        import ktae.cli as cli
-
         monkeypatch.setattr(
             cli, "compare_fast_vs_exact", lambda max_n: (3.5e-4, ContingencyTable(2, 0, 1, 3))
         )

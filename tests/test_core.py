@@ -90,6 +90,12 @@ def test_validate_rejects_non_finite_reward():
         validate_group(group)
 
 
+@pytest.mark.parametrize("threshold", [True, False, math.inf, math.nan, "0.5", None])
+def test_validate_rejects_a_threshold_that_is_not_a_finite_number(threshold):
+    with pytest.raises(InvalidReward, match="correctness_threshold"):
+        validate_group(make_group([1.0, 0.0], threshold=threshold))
+
+
 @given(rollout_groups(graded=True), st.floats(-1.0, 2.0, allow_nan=False))
 def test_partition_is_exhaustive_for_any_threshold(group, threshold):
     group = dataclasses.replace(group, correctness_threshold=threshold)

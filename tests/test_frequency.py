@@ -5,16 +5,23 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
-from ktae import DomainError, Rollout, RolloutGroup, direction_score, raw_term_frequencies, tf_score, validate_group
-from ktae.frequency import direction_score_array, group_lengths, tf_score_array
+from ktae import DomainError, Rollout, RolloutGroup, validate_group
+from ktae.frequency import cohen_h_array, frequency_term_array, group_lengths, tf_score_array
+from ktae.oracle import raw_term_frequencies
 
-from conftest import contingency_tables
+from conftest import at_one, contingency_tables
 
 
 def build_group(correct_tokens, incorrect_tokens):
     rollouts = [Rollout(tokens=tuple(t), reward=1.0) for t in correct_tokens]
     rollouts += [Rollout(tokens=tuple(t), reward=0.0) for t in incorrect_tokens]
     return validate_group(RolloutGroup("g", tuple(rollouts)))
+
+
+def direction_score(table, tf_score_true, tf_score_false, h3=1.0, tf_floor=1e-6):
+    """One token's direction as the pipeline forms it: Cohen's h plus the frequency term."""
+    frequency_term = at_one(frequency_term_array, tf_score_true, tf_score_false, h3=h3, tf_floor=tf_floor)
+    return at_one(cohen_h_array, table) + frequency_term
 
 
 class TestRawTermFrequencies:
@@ -48,31 +55,31 @@ class TestGroupLengths:
 
 class TestTfScore:
     def test_zero_count_scores_zero(self):
-        assert tf_score(0, 10.0, 10.0) == 0.0
+        assert at_one(tf_score_array, 0, 10.0, 10.0, 2.0, 0.5) == 0.0
 
     def test_saturates_toward_k1_plus_one(self):
-        assert tf_score(10**9, 10.0, 10.0, k1=2.0, b=0.5) == pytest.approx(3.0, abs=1e-6)
-        assert tf_score(10**9, 10.0, 10.0, k1=2.0, b=0.5) < 3.0
+        assert at_one(tf_score_array, 10**9, 10.0, 10.0, 2.0, 0.5) == pytest.approx(3.0, abs=1e-6)
+        assert at_one(tf_score_array, 10**9, 10.0, 10.0, 2.0, 0.5) < 3.0
 
     def test_neutral_length_anchor(self):
         # (2+1)*5 / (2*(1 - 0.5 + 0.5) + 5) = 15/7
-        assert tf_score(5, 10.0, 10.0, k1=2.0, b=0.5) == pytest.approx(15.0 / 7.0, rel=1e-15)
+        assert at_one(tf_score_array, 5, 10.0, 10.0, 2.0, 0.5) == pytest.approx(15.0 / 7.0, rel=1e-15)
 
     def test_rejects_non_positive_average_length(self):
         with pytest.raises(DomainError):
-            tf_score(3, 10.0, 0.0)
+            at_one(tf_score_array, 3, 10.0, 0.0, 2.0, 0.5)
 
     @given(st.integers(0, 10_000), st.integers(1, 10_001), st.floats(1.0, 50.0), st.floats(1.0, 50.0))
     def test_monotone_and_bounded(self, tf_low, bump, len_side, len_avg):
-        low = tf_score(tf_low, len_side, len_avg)
-        high = tf_score(tf_low + bump, len_side, len_avg)
+        low = at_one(tf_score_array, tf_low, len_side, len_avg, 2.0, 0.5)
+        high = at_one(tf_score_array, tf_low + bump, len_side, len_avg, 2.0, 0.5)
         assert low < high < 3.0
 
     def test_array_version_matches_scalar(self):
         tfs = np.array([0, 1, 4, 50], dtype=np.int64)
         out = tf_score_array(tfs, 8.0, 10.0, 2.0, 0.5)
         for tf, v in zip(tfs.tolist(), out.tolist()):
-            assert v == tf_score(tf, 8.0, 10.0, 2.0, 0.5)
+            assert v == at_one(tf_score_array, tf, 8.0, 10.0, 2.0, 0.5)
 
 
 class TestDirectionScore:
@@ -119,6 +126,6 @@ class TestDirectionScore:
         arrays = [np.array(col, dtype=np.int64) for col in zip(*tables)]
         tfs_t = np.array([2.0, 0.5, 0.0, 1.0])
         tfs_f = np.array([0.0, 1.5, 2.5, 1.0])
-        out = direction_score_array(*arrays, tfs_t, tfs_f, 1.0, 1e-6)
+        out = cohen_h_array(*arrays) + frequency_term_array(tfs_t, tfs_f, 1.0, 1e-6)
         for i, table in enumerate(tables):
             assert out[i] == direction_score(table, float(tfs_t[i]), float(tfs_f[i]))

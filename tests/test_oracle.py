@@ -7,19 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktae import ContingencyTable as CT
-from ktae import (
-    KtaeConfig,
-    Rollout,
-    RolloutGroup,
+from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae.oracle import (
     TableTooLarge,
     brute_force_stats,
     compare_fast_vs_exact,
-    compute_advantages,
     fisher_exact_rational,
     fisher_two_sided_enum,
-    validate_group,
+    reference_advantages,
 )
-from ktae.oracle import reference_advantages
 from ktae.stats import LogGammaTable
 
 from conftest import rollout_groups

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, SpecError, compute_advantages, validate_group
+from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
 from ktae.core import MAX_TOKEN_ID, AdvantageMatrix, TokenStatsColumns
 from ktae.records import (
     TOKEN_STAT_KEYS,
@@ -15,7 +15,6 @@ from ktae.records import (
     advantage_record_line,
     group_record_line,
     load_config,
-    load_synth_spec,
     parse_advantage_record,
     parse_group_record,
 )
@@ -353,18 +352,3 @@ class TestConfigFiles:
         path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
 
-
-class TestSynthSpecFiles:
-    def test_lists_become_tuples(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"rollout_len_range": [4, 8], "planted_positive": [901], "num_groups": 3,
-                                    "base_vocab": 40, "planted_negative": [902], "planted_neutral": [903]}))
-        spec = load_synth_spec(path)
-        assert spec.rollout_len_range == (4, 8)
-        assert spec.planted_positive == (901,)
-
-    def test_invariant_violations_surface_as_spec_errors(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"correct_fraction": 0.99}))
-        with pytest.raises(SpecError):
-            load_synth_spec(path)
