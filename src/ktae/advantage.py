@@ -88,28 +88,17 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
 
 
 def _count_occurrences(group: RolloutGroup, sizes: list[int]):
-    """Occurrence counts of every distinct token, from two unstable sorts.
+    """Occurrence counts of every distinct token in ``group.token_ids``.
 
-    Sorting the positions finds the distinct tokens; sorting the dense
-    ``token_index * G + rollout`` keys finds each (token, rollout) pair once.
-    Returns the sorted distinct ``tokens``, each position's ``rollout`` and
-    ``token_index`` into ``tokens``, and per token the rollouts containing it
-    on the correct side (a) and the incorrect side (b) and its occurrences on
-    each side (tf_true, tf_false).
+    ``np.unique`` finds the distinct tokens and each position's index into
+    them; sorting the dense ``token_index * G + rollout`` keys finds each
+    (token, rollout) pair once. Returns the sorted distinct ``tokens``, each
+    position's ``rollout`` and ``token_index`` into ``tokens``, and per token
+    the rollouts containing it on the correct side (a) and the incorrect
+    side (b) and its occurrences on each side (tf_true, tf_false).
     """
-    flat = np.fromiter(
-        itertools.chain.from_iterable(r.tokens for r in group.rollouts), dtype=np.int64, count=sum(sizes)
-    )
+    tokens, token_index = np.unique(group.token_ids, return_inverse=True)
     rollout = np.repeat(np.arange(group.size), sizes)
-    order = np.argsort(flat)
-    sorted_tokens = flat[order]
-    new_token = np.empty(flat.size, dtype=bool)
-    new_token[0] = True
-    np.not_equal(sorted_tokens[1:], sorted_tokens[:-1], out=new_token[1:])
-    token_index = np.empty_like(order)
-    token_index[order] = np.cumsum(new_token) - 1
-    tokens = sorted_tokens[new_token]
-
     correct = np.array(group.correct_mask, dtype=bool)
     m = tokens.size
     on_true = correct[rollout]

@@ -7,6 +7,7 @@ flag-driven; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -132,24 +133,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
     # More workers than CPUs only add fork and memory cost; output is the same.
     workers = min(args.parallel, os.cpu_count() or 1)
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
-    failed = False
-    with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst:
+    with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst, \
+            contextlib.ExitStack() as stack:
+        # One worker maps in process, with no pool to start. Batches keep
+        # memory bounded on huge inputs, and both maps keep input order.
+        run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map if workers > 1 else map
         items = _numbered_lines(src)
-        if workers == 1:
-            results = map(worker, items)
-            failed = _drain(results, dst, args.skip_bad)
-        else:
-            # Batched submission keeps memory bounded on huge inputs while
-            # preserving input order (executor.map is order-stable).
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                while True:
-                    batch = list(itertools.islice(items, workers * 64))
-                    if not batch:
-                        break
-                    if _drain(pool.map(worker, batch), dst, args.skip_bad):
-                        failed = True
-                        break
-    return 1 if failed else 0
+        while batch := list(itertools.islice(items, workers * 64)):
+            if _drain(run(worker, batch), dst, args.skip_bad):
+                return 1
+    return 0
 
 
 def _drain(results, dst, skip_bad: bool) -> bool:
@@ -213,6 +206,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.max_n < 0:
+        raise ConfigError(f"--max-n must be >= 0, got {args.max_n}")
     started = time.perf_counter()
     worst, table = compare_fast_vs_exact(args.max_n)
     elapsed = time.perf_counter() - started

@@ -102,6 +102,16 @@ class RolloutGroup:
         return len(self.rollouts)
 
     @cached_property
+    def token_ids(self) -> np.ndarray:
+        """Every rollout's token ids, concatenated in order, as one read-only
+        int64 array. Raises TypeError or OverflowError for an id that is not
+        an integer within int64; validate_group words those."""
+        ids = array.array("q", list(itertools.chain.from_iterable(r.tokens for r in self.rollouts)))
+        column = np.frombuffer(ids, dtype=np.int64)
+        column.flags.writeable = False
+        return column
+
+    @cached_property
     def correct_mask(self) -> tuple[bool, ...]:
         """Per-rollout correctness: reward strictly above the threshold."""
         thr = self.correctness_threshold
@@ -175,7 +185,7 @@ class KtaeConfig:
     def __post_init__(self) -> None:
         for name in ("h1", "h2", "h3", "k1", "b", "std_epsilon", "tf_floor"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+            if not _is_finite_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.h1 < 0 or self.h2 < 0:
@@ -291,14 +301,15 @@ class AdvantageMatrix:
 
 
 def validate_group(group: RolloutGroup) -> RolloutGroup:
-    """Check all group invariants and warm the correctness partition.
+    """Check all group invariants and warm the correctness partition and the
+    token-id column.
 
     Returns the same (immutable) group on success so call sites can chain.
     """
     if group.size < 2:
         raise EmptyGroup(f"group {group.group_id!r} has {group.size} rollout(s); need at least 2")
     threshold = group.correctness_threshold
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool) or not math.isfinite(threshold):
+    if not _is_finite_number(threshold):
         raise InvalidReward(f"group {group.group_id!r}: correctness_threshold {threshold!r} is not a finite number")
     for i, rollout in enumerate(group.rollouts):
         if len(rollout.tokens) == 0:
@@ -308,19 +319,26 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
                 f"group {group.group_id!r}: rollout {i} has {len(rollout.texts)} texts "
                 f"for {len(rollout.tokens)} tokens"
             )
-        if not isinstance(rollout.reward, (int, float)) or isinstance(rollout.reward, bool) \
-                or not math.isfinite(rollout.reward):
+        if not _is_finite_number(rollout.reward):
             raise InvalidReward(f"group {group.group_id!r}: rollout {i} reward {rollout.reward!r} is not finite")
-    # array("q") takes only integers within int64; what it rejects, and
-    # negative ids, are worded by the per-rollout scan.
+    # What the id column rejects, and negative ids, are worded by the
+    # per-rollout scan.
     try:
-        ids = array.array("q", list(itertools.chain.from_iterable(r.tokens for r in group.rollouts)))
+        valid_ids = group.token_ids.min() >= 0
     except (TypeError, OverflowError):
-        ids = None
-    if ids is None or np.frombuffer(ids, dtype=np.int64).min() < 0:
+        valid_ids = False
+    if not valid_ids:
         _check_token_ids(group)
     group.correct_mask  # populate the cached partition
     return group
+
+
+def _is_finite_number(value) -> bool:
+    """True for an int or float, not a bool, that float64 holds as a finite value."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond float64's range
+        return False
 
 
 def _check_token_ids(group: RolloutGroup) -> None:

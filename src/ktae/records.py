@@ -59,8 +59,7 @@ def parse_group_record(line: str) -> RolloutGroup:
     obj = _parse_json_line(line)
     group_id = obj.get("group_id")
     _require(isinstance(group_id, str), "group_id must be a string")
-    threshold = obj.get("correctness_threshold", 0.5)
-    _require(_is_number(threshold), "correctness_threshold must be a number")
+    threshold = _float(obj.get("correctness_threshold", 0.5), "correctness_threshold")
     raw_rollouts = obj.get("rollouts")
     _require(isinstance(raw_rollouts, list), "rollouts must be an array")
     rollouts = []
@@ -72,17 +71,24 @@ def parse_group_record(line: str) -> RolloutGroup:
             isinstance(tokens, list) and set(map(type, tokens)) <= {int},
             f"rollouts[{i}].tokens must be an array of integers",
         )
-        reward = raw.get("reward")
-        _require(_is_number(reward), f"rollouts[{i}].reward must be a number")
+        reward = _float(raw.get("reward"), f"rollouts[{i}].reward")
         texts = raw.get("texts")
         if texts is not None:
             _require(
                 isinstance(texts, list) and set(map(type, texts)) <= {str},
                 f"rollouts[{i}].texts must be an array of strings",
             )
-            texts = tuple(texts)
-        rollouts.append(Rollout(tokens=tuple(tokens), reward=float(reward), texts=texts))
-    return RolloutGroup(group_id=group_id, rollouts=tuple(rollouts), correctness_threshold=float(threshold))
+        rollouts.append(Rollout(tokens=tokens, reward=reward, texts=texts))
+    return RolloutGroup(group_id=group_id, rollouts=rollouts, correctness_threshold=threshold)
+
+
+def _float(value, name: str) -> float:
+    """``value`` as a float; RecordError for a non-number or an int beyond float64."""
+    _require(_is_number(value), f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise RecordError(f"{name} is out of float64 range") from None
 
 
 def group_record_line(group: RolloutGroup) -> str:
@@ -142,20 +148,11 @@ def _token_stats_body(s) -> str:
 def _json_values(values: np.ndarray) -> list[str]:
     """JSON text of each element of a float64 or int64 array.
 
-    Elements are deduplicated by bit pattern, so ``-0.0`` and ``0.0`` stay
+    ``np.unique`` over the elements' bit patterns keeps ``-0.0`` and ``0.0``
     apart, and the distinct values are formatted by one ``json.dumps`` call.
     """
-    if values.size == 0:
-        return []
-    bits = values.view(np.int64)
-    order = np.argsort(bits)
-    sorted_bits = bits[order]
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    texts = np.array(_json_numbers(values[order[first]].tolist()), dtype=object)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(_json_numbers(bits.view(values.dtype).tolist()), dtype=object)
     return texts[inverse].tolist()
 
 

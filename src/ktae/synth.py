@@ -181,9 +181,8 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
 def _emitted_deltas(group: RolloutGroup, matrix) -> np.ndarray:
     """Each token's delta as read off the emitted rows (all positions of a
     token carry the same one), aligned with ``matrix.token_stats.tokens``."""
-    tokens = np.concatenate([np.asarray(r.tokens, dtype=np.int64) for r in group.rollouts])
     out = np.empty(len(matrix.token_stats))
-    out[matrix.token_stats.tokens.searchsorted(tokens)] = np.concatenate(
+    out[matrix.token_stats.tokens.searchsorted(group.token_ids)] = np.concatenate(
         [matrix.delta(i) for i in range(group.size)]
     )
     return out

@@ -18,8 +18,9 @@ from ktae import (
     grpo_advantages,
     validate_group,
 )
-from ktae import frequency, stats
+from ktae import core, frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid, sigmoid_shift
+from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
 
 from conftest import at_one, rollout_groups
@@ -216,6 +217,20 @@ class TestComputeAdvantages:
     def test_validation_errors_propagate(self):
         with pytest.raises(EmptyGroup):
             compute_advantages(RolloutGroup("g", (Rollout(tokens=(1,), reward=1.0),)))
+
+    def test_validated_group_is_not_converted_again(self, monkeypatch):
+        spec = SynthSpec(num_groups=1, group_size=8, base_vocab=50, rollout_len_range=(20, 40))
+        group = validate_group(generate(spec)[0])
+        fresh = RolloutGroup(group.group_id, group.rollouts)
+        expected = advantage_record_line(fresh.group_id, compute_advantages(fresh), include_stats=True)
+
+        def convert(*args, **kwargs):
+            raise AssertionError("token ids converted twice")
+
+        monkeypatch.setattr(core.array, "array", convert)
+        monkeypatch.setattr(np, "fromiter", convert)
+        matrix = compute_advantages(group)
+        assert advantage_record_line(group.group_id, matrix, include_stats=True) == expected
 
     def test_deterministic_across_runs(self):
         group = binary_group(

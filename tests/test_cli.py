@@ -98,6 +98,21 @@ class TestCompute:
         assert len(read_lines(out)) == 2
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_reward_beyond_float64_is_a_bad_record(self, batch, tmp_path, capsys, parallel):
+        lines = read_lines(batch)
+        lines.insert(1, lines[0].replace('"reward":1.0', '"reward":1' + "0" * 400, 1))
+        src = tmp_path / "big.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
+        assert main(args + ["--skip-bad"]) == 0
+        assert "line 2: RecordError: rollouts[0].reward is out of float64 range" in capsys.readouterr().err
+        assert len(read_lines(out)) == len(lines) - 1
+        assert main(args) == 1
+        assert "line 2: RecordError" in capsys.readouterr().err
+        assert len(read_lines(out)) == 1
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
     def test_line_that_is_not_utf8_is_a_bad_record(self, batch, tmp_path, capsys, parallel):
         raw = batch.read_bytes().splitlines(keepends=True)
         raw.insert(1, b'{"group_id": "caf\xe9"}\n')
@@ -133,6 +148,13 @@ class TestCompute:
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg)]) == 2
         assert "nesting too deep" in capsys.readouterr().err
+
+    def test_config_value_beyond_float64_exits_2(self, batch, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"h1": 1' + "0" * 400 + "}")
+        out = tmp_path / "out.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg)]) == 2
+        assert "h1 must be a finite number" in capsys.readouterr().err
 
     def test_config_file_that_is_not_utf8_exits_2(self, batch, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -236,14 +258,14 @@ MUTATION_PATHS = [
 @st.composite
 def mutated_groups(draw):
     """A valid group line, or one with a field set to an arbitrary JSON value
-    (token ids also drawn from beyond int64)."""
+    (integers also drawn from beyond int64 and beyond float64)."""
     obj = json.loads(group_record_line(draw(rollout_groups(graded=True))))
     if draw(st.booleans()):
         *parents, key = draw(st.sampled_from(MUTATION_PATHS))
         target = obj
         for step in parents:
             target = target[step]
-        target[key] = draw(json_values | st.integers(-2, 2**64))
+        target[key] = draw(json_values | st.integers(-2, 2**64) | st.integers(2**1024, 2**1100))
     return json.dumps(obj)
 
 
@@ -383,6 +405,10 @@ class TestOracleCheck:
 
     def test_vacuous_bound_passes(self):
         assert main(["oracle-check", "--max-n", "0"]) == 0
+
+    def test_negative_bound_exits_2(self, capsys):
+        assert main(["oracle-check", "--max-n", "-3"]) == 2
+        assert "--max-n must be >= 0" in capsys.readouterr().err
 
     def test_fault_is_reported_with_a_counterexample(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,7 +91,14 @@ def test_validate_rejects_non_finite_reward():
         validate_group(group)
 
 
-@pytest.mark.parametrize("threshold", [True, False, math.inf, math.nan, "0.5", None])
+def test_validate_rejects_an_integer_reward_beyond_float64():
+    group = RolloutGroup("g", (Rollout(tokens=(1,), reward=10**400), Rollout(tokens=(1,), reward=0.0)))
+    with pytest.raises(InvalidReward, match="rollout 0 reward"):
+        validate_group(group)
+
+
+@pytest.mark.parametrize("threshold", [True, False, math.inf, math.nan, "0.5", None,
+                                       pytest.param(10**400, id="int-beyond-float64")])
 def test_validate_rejects_a_threshold_that_is_not_a_finite_number(threshold):
     with pytest.raises(InvalidReward, match="correctness_threshold"):
         validate_group(make_group([1.0, 0.0], threshold=threshold))
@@ -103,6 +111,17 @@ def test_partition_is_exhaustive_for_any_threshold(group, threshold):
     for rollout, is_correct in zip(group.rollouts, group.correct_mask):
         assert is_correct == (rollout.reward > threshold)
     assert group.num_correct + group.num_incorrect == group.size
+
+
+def test_token_ids_are_one_cached_read_only_int64_column():
+    group = RolloutGroup("g", (Rollout(tokens=(5, 2**63 - 1, 5), reward=1.0), Rollout(tokens=(0, 7), reward=0.0)))
+    ids = group.token_ids
+    assert ids.dtype == np.int64
+    assert not ids.flags.writeable
+    assert ids.tolist() == [5, 2**63 - 1, 5, 0, 7]
+    assert group.token_ids is ids
+    with pytest.raises(ValueError):
+        ids[0] = 1
 
 
 def test_types_are_immutable():
@@ -174,6 +193,7 @@ class TestKtaeConfig:
             {"fisher_mode": "both"},
             {"degenerate_policy": "raise"},
             {"h1": math.inf},
+            {"h1": 10**400},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -102,6 +102,12 @@ class TestGroupRecords:
         with pytest.raises(RecordError, match="nesting too deep"):
             parse_advantage_record('{"group_id": ' + "[" * 100_000)
 
+    def test_integer_beyond_float64_keeps_its_field_name(self):
+        with pytest.raises(RecordError, match=r"^rollouts\[1\]\.reward is out of float64 range$"):
+            parse_group_record(GOOD_LINE.replace('"reward": 0.0', '"reward": 1' + "0" * 400))
+        with pytest.raises(RecordError, match="^correctness_threshold is out of float64 range$"):
+            parse_group_record(GOOD_LINE[:-1] + ', "correctness_threshold": 1' + "0" * 400 + "}")
+
     def test_integer_over_the_digit_limit_is_a_record_error(self):
         with pytest.raises(RecordError, match="^invalid JSON: "):
             parse_group_record('{"group_id": "g", "rollouts": [{"tokens": [' + "1" * 5000 + '], "reward": 1}]}')
