@@ -46,7 +46,10 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> np.n
     A group whose rewards are all equal gets exactly zero advantages; the
     epsilon guard only matters for tiny-but-nonzero variance.
     """
-    arr = np.asarray(list(rewards), dtype=np.float64)
+    try:
+        arr = np.asarray(list(rewards), dtype=np.float64)
+    except OverflowError:  # an integer reward beyond float64
+        raise InvalidReward("rewards must all be finite") from None
     if arr.size < 2:
         raise TooFewRollouts(f"need at least 2 rewards, got {arr.size}")
     if not np.all(np.isfinite(arr)):

@@ -11,6 +11,7 @@ get a delta of exactly zero.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -18,6 +19,9 @@ import numpy as np
 
 from .advantage import compute_advantages
 from .core import KtaeConfig, KtaeError, Rollout, RolloutGroup, validate_group
+
+
+_PLANTS = ("planted_positive", "planted_negative", "planted_neutral")
 
 
 class SpecError(KtaeError):
@@ -39,9 +43,15 @@ class SynthSpec:
     planted_neutral: tuple[int, ...] = (9003,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rollout_len_range", tuple(self.rollout_len_range))
-        for name in ("planted_positive", "planted_negative", "planted_neutral"):
+        for name in ("rollout_len_range", *_PLANTS):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("seed", "num_groups", "group_size", "base_vocab", "rollout_len_range", *_PLANTS):
+            value = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                       for v in (value if isinstance(value, tuple) else (value,))):
+                raise SpecError(f"{name} must hold only integers, got {value!r}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         if self.num_groups < 1:
             raise SpecError(f"num_groups must be >= 1, got {self.num_groups}")
         if self.group_size < 2:
@@ -55,8 +65,7 @@ class SynthSpec:
             )
         if self.base_vocab < 1:
             raise SpecError(f"base_vocab must be >= 1, got {self.base_vocab}")
-        lo, hi = self.rollout_len_range
-        if not 1 <= lo <= hi:
+        if len(self.rollout_len_range) != 2 or not 1 <= self.rollout_len_range[0] <= self.rollout_len_range[1]:
             raise SpecError(f"rollout_len_range must satisfy 1 <= lo <= hi, got {self.rollout_len_range}")
         plants = self.planted_positive + self.planted_negative + self.planted_neutral
         if len(set(plants)) != len(plants):

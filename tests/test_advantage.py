@@ -64,6 +64,10 @@ class TestGrpoAdvantages:
         with pytest.raises(InvalidReward):
             grpo_advantages([1.0, math.inf])
 
+    def test_rejects_integer_reward_beyond_float64(self):
+        with pytest.raises(InvalidReward):
+            grpo_advantages([10**400, 0])
+
     def test_rejects_rewards_whose_moments_overflow(self):
         with pytest.raises(InvalidReward):
             grpo_advantages([1.7e308, 1.7e308, -1.0e308])

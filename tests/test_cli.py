@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import ktae.cli as cli
 from ktae import ContingencyTable, KtaeConfig, SpecError
-from ktae.cli import _process_line, load_synth_spec, main
+from ktae.cli import _process_chunk, load_synth_spec, main
 from ktae.records import group_record_line, parse_advantage_record
 from ktae.synth import SynthSpec, generate
 
@@ -206,6 +207,7 @@ class TestCompute:
             def __init__(self, max_workers):
                 self.max_workers = max_workers
                 self.batches = []
+                self.chunks = []
                 pools.append(self)
 
             def __enter__(self):
@@ -214,9 +216,10 @@ class TestCompute:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                self.batches.append(len(items))
-                return map(fn, items)
+            def map(self, fn, chunks):
+                self.batches.append(sum(map(len, chunks)))  # lines in flight
+                self.chunks.append(len(chunks))
+                return map(fn, chunks)
 
         many = tmp_path / "many.jsonl"
         many.write_text(batch.read_text() * 20)  # 200 lines
@@ -227,12 +230,40 @@ class TestCompute:
         assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "100000"]) == 0
         assert [pool.max_workers for pool in pools] == [3]
         assert pools[0].batches == [3 * 64, 200 - 3 * 64]
+        # Every worker gets at least 4 chunks, or one line per chunk in a short batch.
+        assert all(c >= min(3 * 4, n) for c, n in zip(pools[0].chunks, pools[0].batches))
         assert capped.read_bytes() == serial.read_bytes()
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, run serially
         assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "4"]) == 0
         assert len(pools) == 1
         assert capped.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize("skip_bad", [False, True])
+    def test_bad_line_inside_a_chunk(self, tmp_path, capsys, monkeypatch, parallel, skip_bad):
+        spec = SynthSpec(num_groups=102, base_vocab=40, rollout_len_range=(6, 10))
+        good = [group_record_line(group) for group in generate(spec)]
+        # 104 lines: serially, chunks of 16 then 10 lines; on 2 workers, chunks
+        # of 13. Lines 37 and 70 fall inside a chunk either way.
+        lines = good[:36] + ["{broken"] + good[36:68] + [json.dumps({"group_id": "tiny", "rollouts": []})] + good[68:]
+        src, good_src = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        good_src.write_text("\n".join(good) + "\n")
+        expected, out = tmp_path / "expected.jsonl", tmp_path / "out.jsonl"
+        assert main(["compute", "--input", str(good_src), "--output", str(expected)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
+        assert main(args + ["--skip-bad"] * skip_bad) == (0 if skip_bad else 1)
+        assert not multiprocessing.active_children()  # the pool is shut down on every exit
+        named = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+        if skip_bad:
+            assert named == ["line 37", "line 70"]
+            assert out.read_bytes() == expected.read_bytes()
+        else:
+            assert named == ["line 37"]
+            assert out.read_text() == "".join(expected.read_text().splitlines(keepends=True)[:36])
 
     def test_invalid_parallel_exits_2(self, batch, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -280,13 +311,15 @@ class TestProcessLineFuzz:
     @given(fuzz_lines, st.booleans())
     @settings(max_examples=500, deadline=None)
     def test_every_line_gives_an_output_line_or_a_diagnostic(self, line, include_stats):
-        lineno, output, diagnostic = _process_line((7, line), KtaeConfig(), include_stats)
-        assert lineno == 7
-        assert (output is None) != (diagnostic is None)
-        if diagnostic is not None:
+        block, diagnostics, stopped = _process_chunk([(7, line)], KtaeConfig(), include_stats, skip_bad=False)
+        assert (block == "") != (diagnostics == [])
+        assert stopped == bool(diagnostics)
+        if diagnostics:
+            [diagnostic] = diagnostics
             assert diagnostic.startswith("line 7: ")
         else:
-            record = parse_advantage_record(output)
+            assert block.endswith("\n") and block.count("\n") == 1
+            record = parse_advantage_record(block[:-1])
             assert (record.token_stats is not None) == include_stats
 
 
@@ -380,6 +413,16 @@ class TestBench:
         path.write_text(json.dumps({"correct_fraction": 0.999}))
         assert main(["bench", "--spec", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [{"num_groups": 1.5}, {"base_vocab": 2.5}, {"num_groups": True},
+                                      {"rollout_len_range": [3]}, {"seed": -1}])
+    def test_spec_count_that_is_not_a_usable_integer_exits_2(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"num_groups": 2, **spec}))
+        result = subprocess.run([sys.executable, "-m", "ktae", "bench", "--spec", str(path)],
+                                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error") and "Traceback" not in result.stderr
 
 
 class TestSynthSpecFiles:

@@ -30,6 +30,17 @@ class TestSynthSpec:
             SynthSpec(rollout_len_range=(0, 4))
         with pytest.raises(SpecError):
             SynthSpec(rollout_len_range=(9, 4))
+        with pytest.raises(SpecError):
+            SynthSpec(rollout_len_range=(4,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_groups", 1.5), ("num_groups", True), ("group_size", 4.0), ("base_vocab", 2.5), ("seed", 0.5),
+        ("rollout_len_range", (4, 8.5)), ("rollout_len_range", (False, 8)), ("planted_negative", (9002.0,)),
+        ("seed", -1),
+    ])
+    def test_rejects_integer_fields_that_are_not_usable_integers(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            SynthSpec(**{field: value})
 
     def test_rejects_empty_batch(self):
         with pytest.raises(SpecError):
