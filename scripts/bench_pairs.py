@@ -4,18 +4,18 @@
 The parent revision is exported with `git archive` into a temporary directory,
 which is removed afterwards. Each pair runs
 
-    python3 perfbench/run.py --workload all --seed S --seconds T
+    python3 perfbench/run.py --workload all --seed S --seconds 45
 
 once in that export and once in this checkout (the change), swapping which
-side goes first from pair to pair. Pair i uses seed S = first_seed + i. The
+side goes first from pair to pair. Pair i uses seed S = 1000 + i; the run
+length and seeds are fixed so that BENCH_*.json files stay comparable. The
 summary holds, for each workload and end-to-end metric in BENCHMARK.json, each
 side's median and quartiles, every pair's values, and in how many pairs the
 change was better. It also records the seeds, `git rev-parse` of both sides,
 the Python and numpy versions and the CPU count.
 
 Usage:
-    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json
-                                   [--pairs 10] [--seconds 45] [--first-seed 1000]
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--pairs 10]
 """
 
 import argparse
@@ -32,6 +32,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 45
+FIRST_SEED = 1000
 
 
 def git(*args: str) -> str:
@@ -48,10 +50,10 @@ def export(rev: str, into: Path) -> None:
     archive.unlink()
 
 
-def bench(tree: Path, seed: int, seconds: float) -> dict:
+def bench(tree: Path, seed: int) -> dict:
     """One `perfbench/run.py --workload all` run; its final JSON line plus the exit code."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed), "--seconds", str(SECONDS)],
         cwd=tree, stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -97,19 +99,17 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--out", required=True, help="summary file, e.g. BENCH_8.json at the repository root")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=45.0, help="measured seconds per workload and run")
-    parser.add_argument("--first-seed", type=int, default=1000)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         export(args.parent, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                run = bench(trees[side], seed, args.seconds)
+                run = bench(trees[side], seed)
                 runs[side].append(run)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: exit {run['exit']} "
                       f"correct {run['correct']} failed {run['failed']}", file=sys.stderr, flush=True)
@@ -117,7 +117,7 @@ def main() -> int:
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
         "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "command": f"python3 perfbench/run.py --workload all --seed S --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload all --seed S --seconds {SECONDS}",
         "seeds": seeds,
         "order": "parent first on even pairs (0-based), change first on odd ones",
         "python": platform.python_version(),

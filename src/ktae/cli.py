@@ -37,10 +37,11 @@ ORACLE_TOLERANCE = 1e-9
 
 _CONFIG_FLAGS = ("h1", "h2", "h3", "k1", "b", "std_epsilon", "tf_floor")
 
-# Each batch of `compute` lines is split into at least this many chunks per
-# worker, so one slow chunk cannot leave a worker idle: 128 short lines go 16
-# to a task, while an 8-line pass of large groups on 2 workers still sends one
-# line per task (two per task cost those passes 12-17%).
+# `compute --parallel` sends each batch to the pool as at least this many
+# chunks (one pickled task each) per worker, so one slow chunk cannot leave a
+# worker idle: 128 short lines go 16 to a task, while an 8-line pass of large
+# groups on 2 workers still sends one line per task (two per task cost those
+# passes 12-17%).
 CHUNKS_PER_WORKER = 4
 
 
@@ -100,20 +101,15 @@ def resolve_config(args: argparse.Namespace) -> KtaeConfig:
     return config_from_mapping(mapping)
 
 
-def _process_chunk(chunk: list[tuple[int, str]], config: KtaeConfig, include_stats: bool, skip_bad: bool):
-    """Worker: a run of input lines to one block of output lines, the chunk's
-    diagnostics in input order, and whether a bad line stopped the chunk."""
-    lines, diagnostics = [], []
-    for lineno, line in chunk:
-        try:
-            group = parse_group_record(_check_utf8(line))
-            matrix = compute_advantages(group, config)  # validates the group
-            lines.append(advantage_record_line(group.group_id, matrix, include_stats))
-        except KtaeError as exc:
-            diagnostics.append(f"line {lineno}: {type(exc).__name__}: {exc}")
-            if not skip_bad:
-                break
-    return "".join(f"{line}\n" for line in lines), diagnostics, bool(diagnostics) and not skip_bad
+def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool):
+    """Worker: one input line to one output line (or a diagnostic)."""
+    lineno, line = item
+    try:
+        group = parse_group_record(_check_utf8(line))
+        matrix = compute_advantages(group, config)  # validates the group
+        return lineno, advantage_record_line(group.group_id, matrix, include_stats), None
+    except KtaeError as exc:
+        return lineno, None, f"line {lineno}: {type(exc).__name__}: {exc}"
 
 
 def _open_lines(path: str):
@@ -143,22 +139,31 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     # More workers than CPUs only add fork and memory cost; output is the same.
     workers = min(args.parallel, os.cpu_count() or 1)
-    worker = functools.partial(_process_chunk, config=config, include_stats=args.stats, skip_bad=args.skip_bad)
+    worker = functools.partial(_process_line, config=config, include_stats=args.stats)
     with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst, \
             contextlib.ExitStack() as stack:
         # One worker maps in process, with no pool to start. Batches keep
         # memory bounded on huge inputs, and both maps keep input order.
-        run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map if workers > 1 else map
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
         items = _numbered_lines(src)
         while batch := list(itertools.islice(items, workers * 64)):
             step = max(1, len(batch) // (workers * CHUNKS_PER_WORKER))
-            for block, diagnostics, stopped in run(worker, [batch[i:i + step] for i in range(0, len(batch), step)]):
-                dst.write(block)
-                for diagnostic in diagnostics:
-                    print(diagnostic, file=sys.stderr)
-                if stopped:
-                    return 1
+            results = pool.map(worker, batch, chunksize=step) if pool else map(worker, batch)
+            if _drain(results, dst, args.skip_bad):
+                return 1
     return 0
+
+
+def _drain(results, dst, skip_bad: bool) -> bool:
+    """Write results in order; returns True when a bad record stops the run."""
+    for _, line, diagnostic in results:
+        if diagnostic is not None:
+            print(diagnostic, file=sys.stderr)
+            if not skip_bad:
+                return True
+            continue
+        dst.write(line + "\n")
+    return False
 
 
 def _find_record(path: str, wanted_id: str, parse, describe: str):

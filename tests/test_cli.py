@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ktae.cli as cli
 from ktae import ContingencyTable, KtaeConfig, SpecError
-from ktae.cli import _process_chunk, load_synth_spec, main
+from ktae.cli import _process_line, load_synth_spec, main
 from ktae.records import group_record_line, parse_advantage_record
 from ktae.synth import SynthSpec, generate
 
@@ -216,10 +216,10 @@ class TestCompute:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks):
-                self.batches.append(sum(map(len, chunks)))  # lines in flight
-                self.chunks.append(len(chunks))
-                return map(fn, chunks)
+            def map(self, fn, items, chunksize=1):
+                self.batches.append(len(items))
+                self.chunks.append(-(-len(items) // chunksize))
+                return map(fn, items)
 
         many = tmp_path / "many.jsonl"
         many.write_text(batch.read_text() * 20)  # 200 lines
@@ -244,8 +244,8 @@ class TestCompute:
     def test_bad_line_inside_a_chunk(self, tmp_path, capsys, monkeypatch, parallel, skip_bad):
         spec = SynthSpec(num_groups=102, base_vocab=40, rollout_len_range=(6, 10))
         good = [group_record_line(group) for group in generate(spec)]
-        # 104 lines: serially, chunks of 16 then 10 lines; on 2 workers, chunks
-        # of 13. Lines 37 and 70 fall inside a chunk either way.
+        # 104 lines: on 2 workers, chunks of 13, so lines 37 and 70 fall
+        # inside a chunk; --parallel 1 runs the same lines serially.
         lines = good[:36] + ["{broken"] + good[36:68] + [json.dumps({"group_id": "tiny", "rollouts": []})] + good[68:]
         src, good_src = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
         src.write_text("\n".join(lines) + "\n")
@@ -311,15 +311,13 @@ class TestProcessLineFuzz:
     @given(fuzz_lines, st.booleans())
     @settings(max_examples=500, deadline=None)
     def test_every_line_gives_an_output_line_or_a_diagnostic(self, line, include_stats):
-        block, diagnostics, stopped = _process_chunk([(7, line)], KtaeConfig(), include_stats, skip_bad=False)
-        assert (block == "") != (diagnostics == [])
-        assert stopped == bool(diagnostics)
-        if diagnostics:
-            [diagnostic] = diagnostics
+        lineno, output, diagnostic = _process_line((7, line), KtaeConfig(), include_stats)
+        assert lineno == 7
+        assert (output is None) != (diagnostic is None)
+        if diagnostic is not None:
             assert diagnostic.startswith("line 7: ")
         else:
-            assert block.endswith("\n") and block.count("\n") == 1
-            record = parse_advantage_record(block[:-1])
+            record = parse_advantage_record(output)
             assert (record.token_stats is not None) == include_stats
 
 
@@ -416,13 +414,11 @@ class TestBench:
 
     @pytest.mark.parametrize("spec", [{"num_groups": 1.5}, {"base_vocab": 2.5}, {"num_groups": True},
                                       {"rollout_len_range": [3]}, {"seed": -1}])
-    def test_spec_count_that_is_not_a_usable_integer_exits_2(self, tmp_path, spec):
+    def test_spec_count_that_is_not_a_usable_integer_exits_2(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"num_groups": 2, **spec}))
-        result = subprocess.run([sys.executable, "-m", "ktae", "bench", "--spec", str(path)],
-                                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
-        assert result.returncode == 2
-        assert result.stderr.startswith("config error") and "Traceback" not in result.stderr
+        assert main(["bench", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
 
 
 class TestSynthSpecFiles:
