@@ -37,11 +37,10 @@ ORACLE_TOLERANCE = 1e-9
 
 _CONFIG_FLAGS = ("h1", "h2", "h3", "k1", "b", "std_epsilon", "tf_floor")
 
-# `compute --parallel` sends each batch to the pool as at least this many
-# chunks (one pickled task each) per worker, so one slow chunk cannot leave a
-# worker idle: 128 short lines go 16 to a task, while an 8-line pass of large
-# groups on 2 workers still sends one line per task (two per task cost those
-# passes 12-17%).
+# `compute --parallel` hands each batch to the pool in at least this many
+# chunks per worker: 128 short lines go 16 to a task, while an 8-line pass of
+# large groups on 2 workers still sends one line per task (two per task cost
+# those passes 12-17%).
 CHUNKS_PER_WORKER = 4
 
 
