@@ -157,11 +157,10 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     slot = table_slot[cell]
     ta, tb = np.divmod(table, n_false + 1)
     tc, td = n_true - ta, n_false - tb
-    lngamma = stats.default_lngamma(group.size)
     if config.fisher_mode == "two_sided":
-        table_p = stats.fisher_two_sided_prob_array(ta, tb, tc, td, lngamma)
+        table_p = stats.fisher_two_sided_prob_array(ta, tb, tc, td)
     else:
-        table_p = stats.fisher_point_prob_array(ta, tb, tc, td, lngamma)
+        table_p = stats.fisher_point_prob_array(ta, tb, tc, td)
     table_f = stats.fisher_score_array(table_p)
     table_ig = stats.info_gain_array(ta, tb, tc, td)
     table_h = frequency.cohen_h_array(ta, tb, tc, td)

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from .oracle import MAX_EXACT_N, compare_fast_vs_exact
 from .records import (
     RecordError,
     advantage_record_line,
-    config_from_mapping,
     load_config,
     load_flat_mapping,
     parse_advantage_record,
@@ -97,7 +96,7 @@ def resolve_config(args: argparse.Namespace) -> KtaeConfig:
         override = getattr(args, f"cfg_{field.name}", None)
         if override is not None:
             mapping[field.name] = override
-    return config_from_mapping(mapping)
+    return KtaeConfig.from_dict(mapping)
 
 
 def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool):
@@ -186,17 +185,8 @@ def cmd_visualize(args: argparse.Namespace) -> int:
     return 0
 
 
-def load_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a flat JSON benchmark spec; missing fields keep their defaults."""
-    mapping = load_flat_mapping(path, "benchmark spec")
-    try:
-        return SynthSpec.from_dict(mapping)
-    except TypeError as exc:
-        raise SpecError(f"bad benchmark spec: {exc}") from None
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    spec = load_synth_spec(args.spec) if args.spec else SynthSpec()
+    spec = SynthSpec.from_dict(load_flat_mapping(args.spec, "benchmark spec")) if args.spec else SynthSpec()
     config = resolve_config(args)
     groups = generate(spec)
     report = recovery_report(groups, spec, config)
@@ -236,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except KtaeError as exc:
+    except (KtaeError, BrokenExecutor) as exc:  # BrokenExecutor: a --parallel worker died
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

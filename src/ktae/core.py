@@ -121,10 +121,6 @@ class RolloutGroup:
     def num_correct(self) -> int:
         return sum(self.correct_mask)
 
-    @property
-    def num_incorrect(self) -> int:
-        return self.size - self.num_correct
-
 
 class ContingencyTable(NamedTuple):
     """2x2 occurrence-vs-correctness counts for one token type.
@@ -141,18 +137,6 @@ class ContingencyTable(NamedTuple):
     @property
     def n(self) -> int:
         return self.a + self.b + self.c + self.d
-
-    @property
-    def n_true(self) -> int:
-        return self.a + self.c
-
-    @property
-    def n_false(self) -> int:
-        return self.b + self.d
-
-    def swapped(self) -> "ContingencyTable":
-        """The same table with the correct/incorrect columns exchanged."""
-        return ContingencyTable(self.b, self.a, self.d, self.c)
 
     def check(self) -> "ContingencyTable":
         if min(self) < 0:
@@ -294,10 +278,6 @@ class AdvantageMatrix:
     rollout_advantages: np.ndarray
     token_advantages: tuple[np.ndarray, ...]
     token_stats: TokenStatsColumns
-
-    def delta(self, rollout_index: int) -> np.ndarray:
-        """Per-position refinement for one rollout."""
-        return self.token_advantages[rollout_index] - self.rollout_advantages[rollout_index]
 
 
 def validate_group(group: RolloutGroup) -> RolloutGroup:

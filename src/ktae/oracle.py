@@ -192,13 +192,12 @@ def all_tables_with_total(n: int):
                 yield ContingencyTable(a, b, c, n - a - b - c)
 
 
-def compare_fast_vs_exact(max_n: int, lngamma=None) -> tuple[float, ContingencyTable | None]:
+def compare_fast_vs_exact(max_n: int) -> tuple[float, ContingencyTable | None]:
     """Exhaustively pit the log-space point probability against the rational one.
 
     Returns the worst relative error over all tables with 1 <= n <= max_n and
-    the table achieving it. ``lngamma`` is forwarded to the fast path so a
-    deliberately perturbed table can be injected when testing this harness.
-    The fast path is evaluated once, on all tables at the same time.
+    the table achieving it. The fast path is evaluated once, on all tables at
+    the same time.
     """
     from .stats import fisher_point_prob_array
 
@@ -212,7 +211,7 @@ def compare_fast_vs_exact(max_n: int, lngamma=None) -> tuple[float, ContingencyT
     cells = np.fromiter(itertools.chain.from_iterable(tables()), dtype=np.int64).reshape(-1, 4)
     if not len(cells):
         return 0.0, None
-    fast = fisher_point_prob_array(*cells.T, lngamma=lngamma)
+    fast = fisher_point_prob_array(*cells.T)
     worst_err = 0.0
     worst_table: ContingencyTable | None = None
     for table, p in zip(tables(), fast):

@@ -205,14 +205,7 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
 
 def load_config(path: str | Path) -> KtaeConfig:
     """Read a flat JSON config file; missing fields keep their defaults."""
-    return config_from_mapping(load_flat_mapping(path, "config"))
-
-
-def config_from_mapping(mapping: dict) -> KtaeConfig:
-    try:
-        return KtaeConfig.from_dict(mapping)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+    return KtaeConfig.from_dict(load_flat_mapping(path, "config"))
 
 
 def load_flat_mapping(path: str | Path, what: str) -> dict:

@@ -12,7 +12,6 @@ the exact references that certify them live in ``ktae.oracle``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,61 +24,44 @@ _TINY = math.nextafter(0.0, 1.0)
 _TIE_SLACK = 1e-7
 
 
-@dataclass(frozen=True)
-class LogGammaTable:
-    """Read-only cache of ln(n!) = lgamma(n+1) for n = 0 .. max_n."""
-
-    values: np.ndarray
-
-    @classmethod
-    def for_max_n(cls, max_n: int) -> "LogGammaTable":
-        values = np.array([math.lgamma(i + 1) for i in range(max_n + 1)], dtype=np.float64)
-        values.flags.writeable = False
-        return cls(values)
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
+_ln_factorial = np.empty(0)  # ln(n!) = lgamma(n+1) for n = 0 .. len - 1, read-only
 
 
-_default_table = LogGammaTable.for_max_n(256)
+def _ln_factorials(max_n: int) -> np.ndarray:
+    """The shared ln-factorial array, grown (never shrunk) to cover 0 .. max_n."""
+    global _ln_factorial
+    if len(_ln_factorial) <= max_n:
+        size = max(max_n, 2 * (len(_ln_factorial) - 1)) + 1
+        _ln_factorial = np.array([math.lgamma(i + 1) for i in range(size)], dtype=np.float64)
+        _ln_factorial.flags.writeable = False
+    return _ln_factorial
 
 
-def default_lngamma(max_n: int) -> LogGammaTable:
-    """Shared ln-factorial cache, grown (never shrunk) on demand."""
-    global _default_table
-    if _default_table.max_n < max_n:
-        _default_table = LogGammaTable.for_max_n(max(max_n, 2 * _default_table.max_n))
-    return _default_table
+_ln_factorials(256)  # built at import, so no call pays for the common sizes
 
 
 def _ln_comb(lf: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return lf[n] - lf[k] - lf[n - k]
 
 
-def fisher_point_prob_array(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, lngamma: LogGammaTable | None = None
-) -> np.ndarray:
+def fisher_point_prob_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Point hypergeometric probability, vectorized over tables.
 
     exp( lnC(a+b, a) + lnC(c+d, c) - lnC(n, a+c) ), clamped into (0, 1].
     Degenerate rows or columns cancel exactly and give 1.
     """
     n = a + b + c + d
-    lf = (default_lngamma(int(n.max())) if lngamma is None else lngamma).values
+    lf = _ln_factorials(int(n.max()))
     log_p = _ln_comb(lf, a + b, a) + _ln_comb(lf, c + d, c) - _ln_comb(lf, n, a + c)
     return np.clip(np.exp(log_p), _TINY, 1.0)
 
 
-def fisher_two_sided_prob_array(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, lngamma: LogGammaTable | None = None
-) -> np.ndarray:
+def fisher_two_sided_prob_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Two-sided test probability: mass of all same-margin tables no more
     likely than the observed one (ties included up to a tiny relative slack).
     """
     n = a + b + c + d
-    lngamma = default_lngamma(int(n.max())) if lngamma is None else lngamma
-    observed = fisher_point_prob_array(a, b, c, d, lngamma)
+    observed = fisher_point_prob_array(a, b, c, d)
     r1 = a + b
     c1 = a + c
     lo = np.maximum(0, r1 - (n - c1))
@@ -91,7 +73,7 @@ def fisher_two_sided_prob_array(
         bk = np.where(valid, r1 - k, 0)
         ck = np.where(valid, c1 - k, 0)
         dk = np.where(valid, n - r1 - c1 + k, 0)
-        p_k = fisher_point_prob_array(ak, bk, ck, dk, lngamma)
+        p_k = fisher_point_prob_array(ak, bk, ck, dk)
         total += np.where(valid & (p_k <= observed * (1.0 + _TIE_SLACK)), p_k, 0.0)
     return np.clip(total, _TINY, 1.0)
 

@@ -18,10 +18,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .advantage import compute_advantages
-from .core import KtaeConfig, KtaeError, Rollout, RolloutGroup, validate_group
+from .core import MAX_TOKEN_ID, KtaeConfig, KtaeError, Rollout, RolloutGroup, validate_group
 
 
 _PLANTS = ("planted_positive", "planted_negative", "planted_neutral")
+
+# Most tokens one spec may generate, plants included: enough for any benchmark
+# here (the largest generates about 272k), small enough that a typo in a spec
+# fails at once instead of filling memory.
+MAX_SPEC_TOKENS = 10**7
 
 
 class SpecError(KtaeError):
@@ -44,7 +49,11 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         for name in ("rollout_len_range", *_PLANTS):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise SpecError(f"{name} must be a sequence of integers, got {value!r}") from None
         for name in ("seed", "num_groups", "group_size", "base_vocab", "rollout_len_range", *_PLANTS):
             value = getattr(self, name)
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -56,23 +65,26 @@ class SynthSpec:
             raise SpecError(f"num_groups must be >= 1, got {self.num_groups}")
         if self.group_size < 2:
             raise SpecError(f"group_size must be >= 2, got {self.group_size}")
-        if not 0.0 < self.correct_fraction < 1.0:
-            raise SpecError(f"correct_fraction must be in (0, 1), got {self.correct_fraction}")
-        if not 0 < self.num_correct < self.group_size:
-            raise SpecError(
-                f"correct_fraction {self.correct_fraction} rounds to {self.num_correct} correct "
-                f"rollouts of {self.group_size}; groups must mix both outcomes"
-            )
-        if self.base_vocab < 1:
-            raise SpecError(f"base_vocab must be >= 1, got {self.base_vocab}")
+        if not 1 <= self.base_vocab <= MAX_TOKEN_ID + 1:
+            raise SpecError(f"base_vocab must lie in [1, {MAX_TOKEN_ID + 1}], got {self.base_vocab}")
         if len(self.rollout_len_range) != 2 or not 1 <= self.rollout_len_range[0] <= self.rollout_len_range[1]:
             raise SpecError(f"rollout_len_range must satisfy 1 <= lo <= hi, got {self.rollout_len_range}")
         plants = self.planted_positive + self.planted_negative + self.planted_neutral
         if len(set(plants)) != len(plants):
             raise SpecError("planted token sets must be pairwise disjoint")
-        bad = [t for t in plants if t < self.base_vocab]
+        bad = [t for t in plants if not self.base_vocab <= t <= MAX_TOKEN_ID]
         if bad:
-            raise SpecError(f"planted tokens {bad} collide with the filler vocabulary [0, {self.base_vocab})")
+            raise SpecError(f"planted tokens {bad} must lie in [{self.base_vocab}, {MAX_TOKEN_ID}], "
+                            "above the filler vocabulary and within int64")
+        if self.num_groups * self.group_size * (self.rollout_len_range[1] + len(plants)) > MAX_SPEC_TOKENS:
+            raise SpecError(f"num_groups * group_size * (longest rollout + plants) exceeds {MAX_SPEC_TOKENS} tokens")
+        if not isinstance(self.correct_fraction, numbers.Real) or not 0.0 < self.correct_fraction < 1.0:
+            raise SpecError(f"correct_fraction must be a number in (0, 1), got {self.correct_fraction!r}")
+        if not 0 < self.num_correct < self.group_size:
+            raise SpecError(
+                f"correct_fraction {self.correct_fraction} rounds to {self.num_correct} correct "
+                f"rollouts of {self.group_size}; groups must mix both outcomes"
+            )
 
     @property
     def num_correct(self) -> int:
@@ -191,7 +203,8 @@ def _emitted_deltas(group: RolloutGroup, matrix) -> np.ndarray:
     """Each token's delta as read off the emitted rows (all positions of a
     token carry the same one), aligned with ``matrix.token_stats.tokens``."""
     out = np.empty(len(matrix.token_stats))
-    out[matrix.token_stats.tokens.searchsorted(group.token_ids)] = np.concatenate(
-        [matrix.delta(i) for i in range(group.size)]
+    lengths = [len(row) for row in matrix.token_advantages]
+    out[matrix.token_stats.tokens.searchsorted(group.token_ids)] = (
+        np.concatenate(matrix.token_advantages) - np.repeat(matrix.rollout_advantages, lengths)
     )
     return out

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import ktae.cli as cli
 from ktae import ContingencyTable, KtaeConfig, SpecError
-from ktae.cli import _process_line, load_synth_spec, main
-from ktae.records import group_record_line, parse_advantage_record
+from ktae.cli import _process_line, main
+from ktae.records import group_record_line, load_flat_mapping, parse_advantage_record
 from ktae.synth import SynthSpec, generate
 
 from conftest import rollout_groups
@@ -32,6 +32,13 @@ def batch(tmp_path):
 
 def read_lines(path):
     return [line for line in Path(path).read_text().splitlines() if line]
+
+
+def _exit_on_line_40(item, config, include_stats):
+    """A worker that dies on input line 40, as one killed for memory would."""
+    if item[0] == 40:
+        os._exit(1)
+    return _process_line(item, config, include_stats)
 
 
 class TestCompute:
@@ -265,6 +272,20 @@ class TestCompute:
             assert named == ["line 37"]
             assert out.read_text() == "".join(expected.read_text().splitlines(keepends=True)[:36])
 
+    def test_dead_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        spec = SynthSpec(num_groups=100, base_vocab=40, rollout_len_range=(6, 10))
+        src, expected, out = tmp_path / "groups.jsonl", tmp_path / "expected.jsonl", tmp_path / "out.jsonl"
+        src.write_text("".join(group_record_line(group) + "\n" for group in generate(spec)))
+        assert main(["compute", "--input", str(src), "--output", str(expected)]) == 0
+        monkeypatch.setattr(cli, "_process_line", _exit_on_line_40)  # forked workers inherit it
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert main(["compute", "--input", str(src), "--output", str(out), "--parallel", "2"]) == 1
+        assert not multiprocessing.active_children()
+        err = capsys.readouterr().err
+        assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
+        assert expected.read_text().startswith(out.read_text())
+        assert len(read_lines(out)) < 40
+
     def test_invalid_parallel_exits_2(self, batch, tmp_path):
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(batch), "--output", str(out), "--parallel", "0"]) == 2
@@ -420,13 +441,22 @@ class TestBench:
         assert main(["bench", "--spec", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("spec", [{"group_size": 10**20}, {"planted_positive": [2**70]},
+                                      {"rollout_len_range": 8}, {"correct_fraction": "high"}])
+    def test_spec_rejected_before_any_group_is_generated_exits_2(self, tmp_path, capsys, monkeypatch, spec):
+        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generation started"))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"num_groups": 2, **spec}))
+        assert main(["bench", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
 
 class TestSynthSpecFiles:
     def test_lists_become_tuples(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"rollout_len_range": [4, 8], "planted_positive": [901], "num_groups": 3,
                                     "base_vocab": 40, "planted_negative": [902], "planted_neutral": [903]}))
-        spec = load_synth_spec(path)
+        spec = SynthSpec.from_dict(load_flat_mapping(path, "benchmark spec"))  # as cmd_bench reads it
         assert spec.rollout_len_range == (4, 8)
         assert spec.planted_positive == (901,)
 
@@ -434,7 +464,7 @@ class TestSynthSpecFiles:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"correct_fraction": 0.99}))
         with pytest.raises(SpecError):
-            load_synth_spec(path)
+            SynthSpec.from_dict(load_flat_mapping(path, "benchmark spec"))
 
 
 class TestOracleCheck:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ktae import (
     ConfigError,
@@ -32,8 +32,7 @@ def test_validate_partitions_binary_group():
     group = validate_group(make_group([1.0] * 9 + [0.0] * 7))
     assert group.size == 16
     assert group.num_correct == 9
-    assert group.num_incorrect == 7
-    assert group.num_correct + group.num_incorrect == group.size
+    assert group.correct_mask == (True,) * 9 + (False,) * 7
 
 
 def test_validate_rejects_single_rollout():
@@ -110,7 +109,7 @@ def test_partition_is_exhaustive_for_any_threshold(group, threshold):
     validate_group(group)
     for rollout, is_correct in zip(group.rollouts, group.correct_mask):
         assert is_correct == (rollout.reward > threshold)
-    assert group.num_correct + group.num_incorrect == group.size
+    assert group.num_correct == sum(group.correct_mask)
 
 
 def test_token_ids_are_one_cached_read_only_int64_column():
@@ -145,15 +144,13 @@ class TestContingencyTable:
     def test_margins(self):
         table = ContingencyTable(3, 1, 2, 4)
         assert table.n == 10
-        assert table.n_true == 5
-        assert table.n_false == 5
-
-    def test_swapped_exchanges_columns(self):
-        assert ContingencyTable(3, 1, 2, 4).swapped() == ContingencyTable(1, 3, 4, 2)
 
     def test_check_rejects_negative_counts(self):
         with pytest.raises(DomainError):
             ContingencyTable(-1, 0, 0, 2).check()
+
+
+FIELD_NAMES = [f.name for f in dataclasses.fields(KtaeConfig)]
 
 
 class TestKtaeConfig:
@@ -178,6 +175,25 @@ class TestKtaeConfig:
     def test_valid_configs_round_trip(self, h1, h2, h3, k1, b):
         cfg = KtaeConfig(h1=h1, h2=h2, h3=h3, k1=k1, b=b)
         assert KtaeConfig.from_dict(cfg.to_dict()) == cfg
+
+    # Field names and valid values are drawn often, so later checks get reached.
+    @given(st.dictionaries(
+        st.sampled_from(FIELD_NAMES) | st.sampled_from(FIELD_NAMES) | st.text(max_size=8),
+        st.floats(0.1, 1.0) | st.sampled_from(["point", "two_sided", "zeros", "error"]) | st.recursive(
+            st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats()
+            | st.text(max_size=8),
+            lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+            max_leaves=8,
+        ),
+        max_size=9,
+    ))
+    @settings(max_examples=300)
+    def test_from_dict_of_any_flat_json_object_raises_only_config_error(self, mapping):
+        # What load_config and the CLI hand to from_dict: str keys, JSON values.
+        try:
+            assert isinstance(KtaeConfig.from_dict(mapping), KtaeConfig)
+        except ConfigError:
+            pass
 
     @pytest.mark.parametrize(
         "kwargs",

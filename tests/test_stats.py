@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from ktae import ContingencyTable as CT
+from ktae import stats
 from ktae.oracle import all_tables_with_total, fisher_exact_rational, fisher_two_sided_enum
 from ktae.stats import (
-    LogGammaTable,
     binary_entropy_from_counts,
     fisher_point_prob_array,
     fisher_score_array,
@@ -22,7 +22,7 @@ from conftest import at_one, contingency_tables
 def cond_entropy(table):
     """Correctness entropy given token occurrence, as H(Y) minus the gain
     (valid where the gain is not clamped at 0)."""
-    h_y = at_one(binary_entropy_from_counts, table.n_true, table.n)
+    h_y = at_one(binary_entropy_from_counts, table.a + table.c, table.n)
     return h_y - at_one(info_gain_array, table)
 
 
@@ -59,7 +59,7 @@ class TestFisherPointProb:
 
     @given(contingency_tables())
     def test_column_swap_invariance(self, table):
-        swapped = at_one(fisher_point_prob_array, table.swapped())
+        swapped = at_one(fisher_point_prob_array, CT(table.b, table.a, table.d, table.c))
         assert at_one(fisher_point_prob_array, table) == pytest.approx(swapped, abs=1e-12)
 
 
@@ -127,13 +127,13 @@ class TestInfoGain:
     @given(contingency_tables())
     def test_bounds(self, table):
         ig = at_one(info_gain_array, table)
-        h = at_one(binary_entropy_from_counts, table.n_true, table.n)
+        h = at_one(binary_entropy_from_counts, table.a + table.c, table.n)
         assert 0.0 <= ig <= h + 1e-15
         assert h <= 1.0
 
     @given(contingency_tables())
     def test_column_swap_invariance(self, table):
-        swapped = at_one(info_gain_array, table.swapped())
+        swapped = at_one(info_gain_array, CT(table.b, table.a, table.d, table.c))
         assert at_one(info_gain_array, table) == pytest.approx(swapped, abs=1e-12)
 
     @given(contingency_tables())
@@ -176,21 +176,32 @@ class TestTwoSided:
 
 
 class TestLogGammaTable:
+    """The private ln-factorial array the Fisher kernels read."""
+
     def test_zero_factorial_is_exact(self):
-        table = LogGammaTable.for_max_n(16)
-        assert table.values[0] == 0.0
-        assert table.values[1] == 0.0  # ln 1! is also exactly zero
+        values = stats._ln_factorials(16)
+        assert values[0] == 0.0
+        assert values[1] == 0.0  # ln 1! is also exactly zero
 
     def test_monotone_non_decreasing(self):
-        table = LogGammaTable.for_max_n(64)
-        assert np.all(np.diff(table.values) >= 0.0)
+        assert np.all(np.diff(stats._ln_factorials(64)) >= 0.0)
 
     def test_matches_lgamma(self):
-        table = LogGammaTable.for_max_n(32)
+        values = stats._ln_factorials(32)
         for n in range(33):
-            assert table.values[n] == math.lgamma(n + 1)
+            assert values[n] == math.lgamma(n + 1)
 
     def test_read_only(self):
-        table = LogGammaTable.for_max_n(8)
         with pytest.raises(ValueError):
-            table.values[0] = 1.0
+            stats._ln_factorials(8)[0] = 1.0
+
+    def test_grows_on_demand_keeping_every_entry_and_never_shrinks(self, monkeypatch):
+        built_at_import = stats._ln_factorial
+        assert len(built_at_import) == 257
+        monkeypatch.setattr(stats, "_ln_factorial", built_at_import)  # restored after the test
+        grown = stats._ln_factorials(600)
+        assert len(grown) == 601
+        assert grown[600] == math.lgamma(601)
+        assert grown[:257].tobytes() == built_at_import.tobytes()
+        assert stats._ln_factorials(10) is grown
+        assert at_one(fisher_point_prob_array, CT(300, 0, 0, 300)) == pytest.approx(1 / math.comb(600, 300), rel=1e-9)

@@ -1,6 +1,7 @@
 import pytest
 
 from ktae import KtaeConfig, SpecError, SynthSpec, dapo_admissible, generate, recovery_report, validate_group
+from ktae.synth import MAX_SPEC_TOKENS
 
 SMALL = SynthSpec(num_groups=12, base_vocab=60, rollout_len_range=(10, 16))
 
@@ -36,11 +37,35 @@ class TestSynthSpec:
     @pytest.mark.parametrize("field, value", [
         ("num_groups", 1.5), ("num_groups", True), ("group_size", 4.0), ("base_vocab", 2.5), ("seed", 0.5),
         ("rollout_len_range", (4, 8.5)), ("rollout_len_range", (False, 8)), ("planted_negative", (9002.0,)),
-        ("seed", -1),
+        ("seed", -1), ("rollout_len_range", 8), ("planted_positive", 9001), ("planted_neutral", None),
+        ("base_vocab", 2**63 + 1),
     ])
     def test_rejects_integer_fields_that_are_not_usable_integers(self, field, value):
         with pytest.raises(SpecError, match=field):
             SynthSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", ["0.75", None, (0.75,)])
+    def test_rejects_correct_fraction_that_is_not_a_number(self, value):
+        with pytest.raises(SpecError, match="correct_fraction"):
+            SynthSpec(correct_fraction=value)
+
+    def test_plants_may_reach_but_not_exceed_the_largest_token_id(self):
+        assert SynthSpec(planted_positive=(2**63 - 1,)).planted_positive == (2**63 - 1,)
+        with pytest.raises(SpecError, match=str(2**63)):
+            SynthSpec(planted_positive=(2**63,))
+
+    @pytest.mark.parametrize("sizes", [
+        {"group_size": 10**20}, {"num_groups": 10**20}, {"rollout_len_range": (1, 10**20)},
+        {"group_size": 10**400},  # beyond float64: rejected before correct_fraction is applied
+        {"num_groups": 10**7 // 816 + 1, "rollout_len_range": (48, 48)},  # 16 * (48 + 3) tokens per group
+    ])
+    def test_rejects_specs_beyond_the_token_bound(self, sizes):
+        with pytest.raises(SpecError, match=str(MAX_SPEC_TOKENS)):
+            SynthSpec(**sizes)
+
+    def test_token_bound_admits_a_spec_at_the_bound(self):
+        spec = SynthSpec(num_groups=10**7 // 816, rollout_len_range=(48, 48))
+        assert MAX_SPEC_TOKENS - 816 < spec.num_groups * 816 <= MAX_SPEC_TOKENS
 
     def test_rejects_empty_batch(self):
         with pytest.raises(SpecError):
@@ -66,7 +91,7 @@ class TestGenerate:
     def test_partition_counts_match_the_fraction(self):
         for group in generate(SMALL):
             assert group.num_correct == 12
-            assert group.num_incorrect == 4
+            assert group.size - group.num_correct == 4
 
     def test_groups_validate_and_are_admissible(self):
         for group in generate(SMALL):
