@@ -10,9 +10,18 @@ once in that export and once in this checkout (the change), swapping which
 side goes first from pair to pair. Pair i uses seed S = 1000 + i; the run
 length and seeds are fixed so that BENCH_*.json files stay comparable. The
 summary holds, for each workload and end-to-end metric in BENCHMARK.json, each
-side's median and quartiles, every pair's values, and in how many pairs the
-change was better. It also records the seeds, `git rev-parse` of both sides,
-the Python and numpy versions and the CPU count.
+side's median and quartiles, every pair's values, in how many pairs the
+change was better, the metric's bound and one verdict:
+
+    worse       the change's median is worse than the parent's by more than the bound
+    unresolved  the parent's (q3 - q1) / median exceeds the bound, and not every
+                change run beats every parent run
+    ok          otherwise
+
+It also records the seeds, `git rev-parse` of both sides, the Python and numpy
+versions and the CPU count. Every verdict that is not `ok` is printed; the
+script exits 1 on any `worse` verdict, or on any run that failed or read
+incorrect output.
 
 Usage:
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--pairs 10]
@@ -69,9 +78,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok``; ``sign`` is 1 where higher is better, -1 where lower is."""
+    p, c = statistics.median(parent), statistics.median(change)
+    if sign * (c - p) < -bound * abs(p):
+        return "worse"
+    q1, q3 = np.percentile(parent, [25, 75])
+    change_beats_all = min(change) > max(parent) if sign > 0 else max(change) < min(parent)
+    if q3 - q1 > bound * abs(p) and not change_beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summarize(runs: dict[str, list[dict]]) -> dict:
-    """Per workload and metric: both sides' spread, every pair's values and the change's wins."""
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    """Per workload and metric: both sides' spread, every pair's values, the change's wins and a verdict."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics}
     summary: dict[str, dict] = {}
     for key in sorted(set().union(*(run["metrics"] for run in runs["parent"] + runs["change"]))):
         workload, metric = key.split("/", 1)
@@ -88,6 +111,8 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
             "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "pairs": len(pairs),
             "median_ratio": statistics.median(change) / statistics.median(parent),
+            "bound": bounds[metric],
+            "verdict": verdict(parent, change, sign, bounds[metric]),
             "parent_values": parent,
             "change_values": change,
         }
@@ -129,7 +154,13 @@ def main() -> int:
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if all(run["exit"] == 0 and run["correct"] for side in runs.values() for run in side) else 1
+    flagged = [(workload, metric, entry) for workload, entries in report["metrics"].items()
+               for metric, entry in entries.items() if entry["verdict"] != "ok"]
+    for workload, metric, entry in flagged:
+        print(f"{entry['verdict']}: {workload} {metric} median ratio {entry['median_ratio']:.3f} "
+              f"(bound {entry['bound']})", file=sys.stderr)
+    runs_ok = all(run["exit"] == 0 and run["correct"] for side in runs.values() for run in side)
+    return 0 if runs_ok and not any(entry["verdict"] == "worse" for *_, entry in flagged) else 1
 
 
 if __name__ == "__main__":

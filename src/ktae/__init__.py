@@ -13,7 +13,7 @@ The names below are the public API. The array kernels live in
 certify them in ``ktae.oracle``.
 """
 
-from .advantage import compute_advantages, dapo_admissible, grpo_advantages, sigmoid, sigmoid_shift
+from .advantage import compute_advantages, dapo_admissible, grpo_advantages, sigmoid_shift
 from .core import (
     AdvantageMatrix,
     ConfigError,
@@ -30,7 +30,6 @@ from .core import (
     Rollout,
     RolloutGroup,
     TokenStats,
-    TooFewRollouts,
     validate_group,
 )
 from .synth import SpecError, SynthSpec, generate, recovery_report
@@ -55,13 +54,11 @@ __all__ = [
     "SpecError",
     "SynthSpec",
     "TokenStats",
-    "TooFewRollouts",
     "compute_advantages",
     "dapo_admissible",
     "generate",
     "grpo_advantages",
     "recovery_report",
-    "sigmoid",
     "sigmoid_shift",
     "validate_group",
 ]

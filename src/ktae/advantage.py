@@ -26,11 +26,11 @@ from . import frequency, stats
 from .core import (
     AdvantageMatrix,
     DegenerateGroup,
+    EmptyGroup,
     InvalidReward,
     KtaeConfig,
     RolloutGroup,
     TokenStatsColumns,
-    TooFewRollouts,
     validate_group,
 )
 
@@ -51,7 +51,7 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> np.n
     except OverflowError:  # an integer reward beyond float64
         raise InvalidReward("rewards must all be finite") from None
     if arr.size < 2:
-        raise TooFewRollouts(f"need at least 2 rewards, got {arr.size}")
+        raise EmptyGroup(f"need at least 2 rewards, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise InvalidReward("rewards must all be finite")
     with np.errstate(over="ignore"):  # overflow is caught by the finite check below
@@ -73,24 +73,20 @@ def dapo_admissible(group: RolloutGroup) -> bool:
     return 0 < group.num_correct < group.size
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic 1 / (1 + exp(-x)).
+def sigmoid_shift(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) - 0.5, clamped to keep |result| strictly below 0.5 even
+    where the logistic saturates to an exact 0 or 1 in floating point.
 
-    Both branches share e = exp(-|x|), which never overflows. -|x| is taken
-    as minimum(x, -x) so that a NaN input keeps its sign bit.
+    The logistic 1 / (1 + exp(-x)) is evaluated in two branches that share
+    e = exp(-|x|), which never overflows. -|x| is taken as minimum(x, -x) so
+    that a NaN input keeps its sign bit.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.clip(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - 0.5, -DELTA_MAX, DELTA_MAX)
 
 
-def sigmoid_shift(x: np.ndarray) -> np.ndarray:
-    """sigmoid(x) - 0.5, clamped to keep |result| strictly below 0.5 even
-    where the logistic saturates to an exact 0 or 1 in floating point."""
-    return np.clip(sigmoid(x) - 0.5, -DELTA_MAX, DELTA_MAX)
-
-
-def _count_occurrences(group: RolloutGroup, sizes: list[int]):
+def _count_occurrences(group: RolloutGroup, sizes: list[int], correct: np.ndarray):
     """Occurrence counts of every distinct token in ``group.token_ids``.
 
     ``np.unique`` finds the distinct tokens and each position's index into
@@ -102,7 +98,6 @@ def _count_occurrences(group: RolloutGroup, sizes: list[int]):
     """
     tokens, token_index = np.unique(group.token_ids, return_inverse=True)
     rollout = np.repeat(np.arange(group.size), sizes)
-    correct = np.array(group.correct_mask, dtype=bool)
     m = tokens.size
     on_true = correct[rollout]
     tf_true = np.bincount(token_index[on_true], minlength=m)
@@ -141,7 +136,8 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
         )
 
     sizes = [len(r.tokens) for r in group.rollouts]
-    tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
+    correct = np.array(group.correct_mask, dtype=bool)
+    tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes, correct)
     n_true = group.num_correct
     n_false = group.size - n_true
     c = n_true - a
@@ -166,9 +162,14 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     table_h = frequency.cohen_h_array(ta, tb, tc, td)
     table_strength = config.h1 * table_f + config.h2 * table_ig
 
-    lengths = frequency.group_lengths(group)
-    tfs_true = _tf_scores(tf_true, lengths.len_true, lengths.len_avg, config)
-    tfs_false = _tf_scores(tf_false, lengths.len_false, lengths.len_avg, config)
+    # An empty side's TF counts are all 0, so its mean length never reaches
+    # the output: the group mean stands in, without numpy's empty-slice warning.
+    lengths = np.array(sizes)
+    len_avg = lengths.mean()
+    len_true = lengths[correct].mean() if n_true else len_avg
+    len_false = lengths[~correct].mean() if n_false else len_avg
+    tfs_true = _tf_scores(tf_true, len_true, len_avg, config)
+    tfs_false = _tf_scores(tf_false, len_false, len_avg, config)
     direction = table_h[slot] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
     ktv = table_strength[slot] * direction
     delta = sigmoid_shift(ktv)

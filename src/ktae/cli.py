@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .advantage import compute_advantages
@@ -25,7 +25,6 @@ from .oracle import MAX_EXACT_N, compare_fast_vs_exact
 from .records import (
     RecordError,
     advantage_record_line,
-    load_config,
     load_flat_mapping,
     parse_advantage_record,
     parse_group_record,
@@ -91,12 +90,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> KtaeConfig:
-    mapping = load_config(args.config).to_dict() if args.config else KtaeConfig().to_dict()
-    for field in fields(KtaeConfig):
-        override = getattr(args, f"cfg_{field.name}", None)
-        if override is not None:
-            mapping[field.name] = override
-    return KtaeConfig.from_dict(mapping)
+    """Defaults, then the --config file (validated on its own), then the flags."""
+    config = KtaeConfig.from_dict(load_flat_mapping(args.config, "config")) if args.config else KtaeConfig()
+    flags = {f.name: getattr(args, f"cfg_{f.name}", None) for f in fields(KtaeConfig)}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool):
@@ -231,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: MemoryError", file=sys.stderr)
         return 1
 
 

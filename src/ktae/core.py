@@ -51,10 +51,6 @@ class InvalidToken(KtaeError):
     """Token identifiers must be integers in [0, MAX_TOKEN_ID]."""
 
 
-class TooFewRollouts(KtaeError):
-    """Group-normalized advantages need at least two rewards."""
-
-
 class DegenerateGroup(KtaeError):
     """Every rollout shares one correctness label and the policy forbids it."""
 

@@ -13,32 +13,9 @@ keeping the ratio finite when the other side never saw the token at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DomainError, RolloutGroup
-
-
-@dataclass(frozen=True)
-class GroupLengths:
-    """Mean rollout token lengths: per side and across the whole group."""
-
-    len_true: float
-    len_false: float
-    len_avg: float
-
-
-def group_lengths(group: RolloutGroup) -> GroupLengths:
-    """Side-wise mean lengths; an empty side falls back to the group mean so
-    its normalization factor is neutral."""
-    lengths = [len(r.tokens) for r in group.rollouts]
-    len_avg = sum(lengths) / len(lengths)
-    true_lengths = [n for n, ok in zip(lengths, group.correct_mask) if ok]
-    false_lengths = [n for n, ok in zip(lengths, group.correct_mask) if not ok]
-    len_true = sum(true_lengths) / len(true_lengths) if true_lengths else len_avg
-    len_false = sum(false_lengths) / len(false_lengths) if false_lengths else len_avg
-    return GroupLengths(len_true, len_false, len_avg)
+from .core import DomainError
 
 
 def tf_score_array(tf: np.ndarray, len_side: float, len_avg: float, k1: float, b: float) -> np.ndarray:

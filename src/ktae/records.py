@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, KtaeConfig, KtaeError, Rollout, RolloutGroup
+from .core import ConfigError, KtaeError, Rollout, RolloutGroup
 
 TOKEN_STAT_KEYS = ("a", "b", "c", "d", "p", "F", "IG", "TF_T", "TF_F", "D", "ktv")
 
@@ -203,11 +203,6 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
     )
 
 
-def load_config(path: str | Path) -> KtaeConfig:
-    """Read a flat JSON config file; missing fields keep their defaults."""
-    return KtaeConfig.from_dict(load_flat_mapping(path, "config"))
-
-
 def load_flat_mapping(path: str | Path, what: str) -> dict:
     """Read a JSON object from ``path``; any failure is a ConfigError naming ``what``."""
     try:
@@ -222,10 +217,4 @@ def load_flat_mapping(path: str | Path, what: str) -> dict:
         raise ConfigError(f"{what} file {path} is not valid JSON: nesting too deep") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object")
-    return {str(k): _coerce_json_value(v) for k, v in obj.items()}
-
-
-def _coerce_json_value(value):
-    if isinstance(value, list):
-        return tuple(_coerce_json_value(v) for v in value)
-    return value
+    return obj

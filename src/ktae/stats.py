@@ -51,7 +51,7 @@ def fisher_point_prob_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.n
     Degenerate rows or columns cancel exactly and give 1.
     """
     n = a + b + c + d
-    lf = _ln_factorials(int(n.max()))
+    lf = _ln_factorials(int(n.max(initial=0)))
     log_p = _ln_comb(lf, a + b, a) + _ln_comb(lf, c + d, c) - _ln_comb(lf, n, a + c)
     return np.clip(np.exp(log_p), _TINY, 1.0)
 
@@ -67,7 +67,7 @@ def fisher_two_sided_prob_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: 
     lo = np.maximum(0, r1 - (n - c1))
     hi = np.minimum(r1, c1)
     total = np.zeros(observed.shape, dtype=np.float64)
-    for k in range(int(hi.max()) + 1):
+    for k in range(int(hi.max(initial=-1)) + 1):
         valid = (k >= lo) & (k <= hi)
         ak = np.where(valid, k, 0)
         bk = np.where(valid, r1 - k, 0)

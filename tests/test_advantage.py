@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
 from ktae import (
@@ -12,14 +12,13 @@ from ktae import (
     KtaeConfig,
     Rollout,
     RolloutGroup,
-    TooFewRollouts,
     compute_advantages,
     dapo_admissible,
     grpo_advantages,
     validate_group,
 )
 from ktae import core, frequency, stats
-from ktae.advantage import DELTA_MAX, sigmoid, sigmoid_shift
+from ktae.advantage import DELTA_MAX, sigmoid_shift
 from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
 
@@ -57,7 +56,7 @@ class TestGrpoAdvantages:
         assert grpo_advantages([2.0, 0.0]).tolist() == [1.0, -1.0]
 
     def test_rejects_short_groups(self):
-        with pytest.raises(TooFewRollouts):
+        with pytest.raises(EmptyGroup):
             grpo_advantages([1.0])
 
     def test_rejects_non_finite(self):
@@ -127,7 +126,6 @@ class TestKeyTokenValue:
 
 class TestSigmoid:
     def test_midpoint_is_exact(self):
-        assert float(sigmoid(np.array([0.0]))[0]) == 0.5
         assert float(sigmoid_shift(np.array([0.0]))[0]) == 0.0
 
     def test_shift_is_strictly_inside_half_unit(self):
@@ -138,30 +136,30 @@ class TestSigmoid:
 
     def test_matches_logistic_in_the_stable_range(self):
         xs = np.linspace(-30, 30, 101)
-        expected = 1.0 / (1.0 + np.exp(-xs))
-        assert sigmoid(xs) == pytest.approx(expected, rel=1e-12)
+        expected = 1.0 / (1.0 + np.exp(-xs)) - 0.5
+        assert sigmoid_shift(xs) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     @staticmethod
-    def two_branch_sigmoid(x):
-        """The earlier formula: exp(-x) on x >= 0 and exp(x) elsewhere."""
+    def two_branch_shift(x):
+        """The earlier formula: exp(-x) on x >= 0 and exp(x) elsewhere, shifted and clamped."""
         x = np.asarray(x, dtype=np.float64)
         out = np.empty_like(x)
         pos = x >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-        return out
+        return np.clip(out - 0.5, -DELTA_MAX, DELTA_MAX)
 
     def test_matches_the_two_branch_formula_on_edge_values(self):
         edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 709.0, -709.0, 746.0, -746.0,
                  5e-324, -5e-324]
         xs = np.array(edges * 3)  # repeated so both the vector body and the tail see each value
-        assert sigmoid(xs).tobytes() == self.two_branch_sigmoid(xs).tobytes()
+        assert sigmoid_shift(xs).tobytes() == self.two_branch_shift(xs).tobytes()
 
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=70))
     def test_matches_the_two_branch_formula_bit_for_bit(self, values):
         xs = np.array(values, dtype=np.float64)
-        assert sigmoid(xs).tobytes() == self.two_branch_sigmoid(xs).tobytes()
+        assert sigmoid_shift(xs).tobytes() == self.two_branch_shift(xs).tobytes()
 
 
 class TestComputeAdvantages:
@@ -349,12 +347,24 @@ def kernel_groups(draw):
     return validate_group(RolloutGroup("k", rollouts, correctness_threshold=threshold))
 
 
+def mean_lengths(group):
+    """Mean rollout length of the correct side, the incorrect side and the
+    whole group, by plain sums; an empty side takes the group mean."""
+    lengths = [len(r.tokens) for r in group.rollouts]
+    len_avg = sum(lengths) / len(lengths)
+    sides = [[n for n, ok in zip(lengths, group.correct_mask) if ok == side] for side in (True, False)]
+    return *(sum(side) / len(side) if side else len_avg for side in sides), len_avg
+
+
 class TestTableGather:
     """compute_advantages evaluates statistics per distinct table and gathers
     them to tokens; every value must equal a per-token evaluation bit for bit."""
 
     @given(kernel_groups(), st.sampled_from(["point", "two_sided"]))
+    @example(binary_group([True, True, False], [(1, 2, 3, 4), (1, 2), (9, 9, 9)]), "point")  # side means 3, 3, 3
+    @example(binary_group([True, True], [(1, 2), (1, 2, 3, 4)]), "point")  # no incorrect side
     @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on the mean of an empty side
     def test_columns_equal_per_token_kernels(self, group, fisher_mode):
         config = KtaeConfig(fisher_mode=fisher_mode, h1=1.5, h2=0.75, h3=2.0)
         s = compute_advantages(group, config).token_stats
@@ -363,9 +373,9 @@ class TestTableGather:
         p = fisher(a, b, c, d)
         f_score = stats.fisher_score_array(p)
         ig = stats.info_gain_array(a, b, c, d)
-        lengths = frequency.group_lengths(group)
-        tfs_true = frequency.tf_score_array(s.tf_true, lengths.len_true, lengths.len_avg, config.k1, config.b)
-        tfs_false = frequency.tf_score_array(s.tf_false, lengths.len_false, lengths.len_avg, config.k1, config.b)
+        len_true, len_false, len_avg = mean_lengths(group)
+        tfs_true = frequency.tf_score_array(s.tf_true, len_true, len_avg, config.k1, config.b)
+        tfs_false = frequency.tf_score_array(s.tf_false, len_false, len_avg, config.k1, config.b)
         direction = frequency.cohen_h_array(a, b, c, d) + frequency.frequency_term_array(
             tfs_true, tfs_false, config.h3, config.tf_floor
         )

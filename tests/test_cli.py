@@ -205,6 +205,23 @@ class TestCompute:
         assert main(["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_file_is_validated_before_flags_apply(self, batch, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h1": -1}))
+        out = tmp_path / "out.jsonl"
+        args = ["compute", "--input", str(batch), "--output", str(out), "--config", str(cfg), "--h1", "1"]
+        assert main(args) == 2
+        assert "h1 and h2 must be non-negative" in capsys.readouterr().err
+
+    def test_memory_error_is_one_error_line(self, batch, tmp_path, capsys, monkeypatch):
+        def exhausted(line):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_group_record", exhausted)
+        out = tmp_path / "out.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_parallel_is_capped_at_the_cpu_count(self, batch, tmp_path, monkeypatch):
         pools = []
 

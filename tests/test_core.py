@@ -189,7 +189,7 @@ class TestKtaeConfig:
     ))
     @settings(max_examples=300)
     def test_from_dict_of_any_flat_json_object_raises_only_config_error(self, mapping):
-        # What load_config and the CLI hand to from_dict: str keys, JSON values.
+        # What load_flat_mapping hands to from_dict: str keys, JSON values as parsed.
         try:
             assert isinstance(KtaeConfig.from_dict(mapping), KtaeConfig)
         except ConfigError:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
 from ktae import DomainError, Rollout, RolloutGroup, validate_group
-from ktae.frequency import cohen_h_array, frequency_term_array, group_lengths, tf_score_array
+from ktae.frequency import cohen_h_array, frequency_term_array, tf_score_array
 from ktae.oracle import raw_term_frequencies
 
 from conftest import at_one, contingency_tables
@@ -36,21 +36,6 @@ class TestRawTermFrequencies:
     def test_once_per_rollout(self):
         group = build_group([(5, 10 + i) for i in range(12)], [(5, 90 + i) for i in range(4)])
         assert raw_term_frequencies(group, 5) == (12, 4)
-
-
-class TestGroupLengths:
-    def test_side_means(self):
-        group = build_group([(1, 2, 3, 4), (1, 2)], [(9, 9, 9)])
-        lengths = group_lengths(group)
-        assert lengths.len_true == 3.0
-        assert lengths.len_false == 3.0
-        assert lengths.len_avg == 3.0
-
-    def test_empty_side_falls_back_to_group_mean(self):
-        group = build_group([(1, 2), (1, 2, 3, 4)], [])
-        lengths = group_lengths(group)
-        assert lengths.len_avg == 3.0
-        assert lengths.len_false == 3.0
 
 
 class TestTfScore:

@@ -14,7 +14,7 @@ from ktae.records import (
     _json_values,
     advantage_record_line,
     group_record_line,
-    load_config,
+    load_flat_mapping,
     parse_advantage_record,
     parse_group_record,
 )
@@ -315,11 +315,16 @@ class TestJsonValues:
         assert _json_values(np.array(values, dtype=np.float64)) == [json.dumps(v) for v in values]
 
 
+def read_config(path):
+    """A config file as the CLI reads it."""
+    return KtaeConfig.from_dict(load_flat_mapping(path, "config"))
+
+
 class TestConfigFiles:
     def test_missing_fields_take_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"h2": 3.0}))
-        cfg = load_config(path)
+        cfg = read_config(path)
         assert cfg.h2 == 3.0
         assert cfg.h1 == 1.0
         assert cfg.k1 == 2.0
@@ -328,33 +333,33 @@ class TestConfigFiles:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"h9": 1.0}))
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config(path)
 
     def test_invalid_value_is_a_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k1": -1.0}))
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config(path)
 
     def test_non_json_is_a_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("k1: 2.0")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config(path)
 
     def test_non_object_is_a_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config(path)
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_config(tmp_path / "absent.json")
+            read_config(tmp_path / "absent.json")
 
     def test_full_round_trip(self, tmp_path):
         cfg = KtaeConfig(h1=0.5, fisher_mode="two_sided", degenerate_policy="error")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        assert load_config(path) == cfg
+        assert read_config(path) == cfg
 

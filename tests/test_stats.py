@@ -175,6 +175,15 @@ class TestTwoSided:
         assert point - 1e-12 <= two_sided <= 1.0
 
 
+def test_kernels_map_empty_tables_to_empty_float_arrays():
+    empty = np.array([], dtype=np.int64)
+    for out in (fisher_point_prob_array(empty, empty, empty, empty),
+                fisher_two_sided_prob_array(empty, empty, empty, empty),
+                fisher_score_array(np.array([], dtype=np.float64)),
+                info_gain_array(empty, empty, empty, empty)):
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+
 class TestLogGammaTable:
     """The private ln-factorial array the Fisher kernels read."""
 

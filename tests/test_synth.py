@@ -1,9 +1,14 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktae import KtaeConfig, SpecError, SynthSpec, dapo_admissible, generate, recovery_report, validate_group
 from ktae.synth import MAX_SPEC_TOKENS
 
 SMALL = SynthSpec(num_groups=12, base_vocab=60, rollout_len_range=(10, 16))
+SPEC_FIELDS = [f.name for f in dataclasses.fields(SynthSpec)]
 
 
 class TestSynthSpec:
@@ -78,6 +83,25 @@ class TestSynthSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(SpecError):
             SynthSpec.from_dict({"plants": (1,)})
+
+    # Field names and valid values are drawn often, so later checks get reached.
+    @given(st.dictionaries(
+        st.sampled_from(SPEC_FIELDS) | st.sampled_from(SPEC_FIELDS) | st.text(max_size=8),
+        st.integers(0, 400) | st.lists(st.integers(0, 20_000), max_size=3) | st.floats(0.05, 0.95) | st.recursive(
+            st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats()
+            | st.text(max_size=8),
+            lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+            max_leaves=8,
+        ),
+        max_size=9,
+    ))
+    @settings(max_examples=300)
+    def test_from_dict_of_any_flat_json_object_raises_only_spec_error(self, mapping):
+        # What load_flat_mapping hands to from_dict: str keys, JSON values as parsed.
+        try:
+            assert isinstance(SynthSpec.from_dict(mapping), SynthSpec)
+        except SpecError:
+            pass
 
 
 class TestGenerate:
