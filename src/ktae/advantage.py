@@ -162,14 +162,13 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     table_h = frequency.cohen_h_array(ta, tb, tc, td)
     table_strength = config.h1 * table_f + config.h2 * table_ig
 
-    # An empty side's TF counts are all 0, so its mean length never reaches
-    # the output: the group mean stands in, without numpy's empty-slice warning.
-    lengths = np.array(sizes)
-    len_avg = lengths.mean()
-    len_true = lengths[correct].mean() if n_true else len_avg
-    len_false = lengths[~correct].mean() if n_false else len_avg
-    tfs_true = _tf_scores(tf_true, len_true, len_avg, config)
-    tfs_false = _tf_scores(tf_false, len_false, len_avg, config)
+    # Mean rollout lengths from exact integer sums. An empty side's TF counts
+    # are all 0, so the group mean standing in for its length never shows.
+    total = sum(sizes)
+    total_true = sum(itertools.compress(sizes, group.correct_mask))
+    len_avg = total / group.size
+    tfs_true = _tf_scores(tf_true, total_true / n_true if n_true else len_avg, len_avg, config)
+    tfs_false = _tf_scores(tf_false, (total - total_true) / n_false if n_false else len_avg, len_avg, config)
     direction = table_h[slot] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
     ktv = table_strength[slot] * direction
     delta = sigmoid_shift(ktv)

@@ -364,7 +364,7 @@ class TestTableGather:
     @example(binary_group([True, True, False], [(1, 2, 3, 4), (1, 2), (9, 9, 9)]), "point")  # side means 3, 3, 3
     @example(binary_group([True, True], [(1, 2), (1, 2, 3, 4)]), "point")  # no incorrect side
     @settings(max_examples=150, deadline=None)
-    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on the mean of an empty side
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no step may warn, an empty side included
     def test_columns_equal_per_token_kernels(self, group, fisher_mode):
         config = KtaeConfig(fisher_mode=fisher_mode, h1=1.5, h2=0.75, h3=2.0)
         s = compute_advantages(group, config).token_stats
