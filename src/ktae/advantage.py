@@ -86,7 +86,7 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
     return np.clip(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - 0.5, -DELTA_MAX, DELTA_MAX)
 
 
-def _count_occurrences(group: RolloutGroup, sizes: list[int], correct: np.ndarray):
+def _count_occurrences(group: RolloutGroup, sizes: list[int]):
     """Occurrence counts of every distinct token in ``group.token_ids``.
 
     ``np.unique`` finds the distinct tokens and each position's index into
@@ -98,6 +98,7 @@ def _count_occurrences(group: RolloutGroup, sizes: list[int], correct: np.ndarra
     """
     tokens, token_index = np.unique(group.token_ids, return_inverse=True)
     rollout = np.repeat(np.arange(group.size), sizes)
+    correct = np.array(group.correct_mask, dtype=bool)
     m = tokens.size
     on_true = correct[rollout]
     tf_true = np.bincount(token_index[on_true], minlength=m)
@@ -136,8 +137,7 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
         )
 
     sizes = [len(r.tokens) for r in group.rollouts]
-    correct = np.array(group.correct_mask, dtype=bool)
-    tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes, correct)
+    tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
     n_true = group.num_correct
     n_false = group.size - n_true
     c = n_true - a
