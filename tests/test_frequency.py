@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
-from ktae import DomainError, Rollout, RolloutGroup, validate_group
+from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
 from ktae.frequency import cohen_h_array, frequency_term_array, tf_score_array
 from ktae.oracle import raw_term_frequencies
 
@@ -36,6 +36,34 @@ class TestRawTermFrequencies:
     def test_once_per_rollout(self):
         group = build_group([(5, 10 + i) for i in range(12)], [(5, 90 + i) for i in range(4)])
         assert raw_term_frequencies(group, 5) == (12, 4)
+
+
+class TestGroupLengths:
+    """compute_advantages scores each side's counts against that side's mean
+    rollout length, relative to the mean over the whole group."""
+
+    @staticmethod
+    def expected_tf_scores(group, len_true, len_false, len_avg, config):
+        s = compute_advantages(group, config).token_stats
+        return s, (
+            tf_score_array(s.tf_true, len_true, len_avg, config.k1, config.b),
+            tf_score_array(s.tf_false, len_false, len_avg, config.k1, config.b),
+        )
+
+    def test_side_means(self):
+        group = build_group([(1, 2, 3, 4), (1, 2)], [(9, 9, 9, 9, 9, 9)])
+        config = KtaeConfig(b=1.0)
+        s, (true, false) = self.expected_tf_scores(group, 3.0, 6.0, 4.0, config)
+        assert s.tf_score_true.tobytes() == true.tobytes()
+        assert s.tf_score_false.tobytes() == false.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_side_falls_back_to_group_mean(self):
+        group = build_group([(1, 2), (1, 2, 3, 4)], [])
+        s, (true, false) = self.expected_tf_scores(group, 3.0, 3.0, 3.0, KtaeConfig())
+        assert s.tf_score_true.tobytes() == true.tobytes()
+        assert s.tf_score_false.tobytes() == false.tobytes()
+        assert not s.tf_score_false.any()
 
 
 class TestTfScore:
