@@ -20,19 +20,15 @@ from .core import (
     ContingencyTable,
     DegenerateGroup,
     DomainError,
-    EmptyGroup,
-    EmptyRollout,
-    InvalidReward,
-    InvalidToken,
+    InvalidGroup,
     KtaeConfig,
     KtaeError,
-    LengthMismatch,
     Rollout,
     RolloutGroup,
     TokenStats,
     validate_group,
 )
-from .synth import SpecError, SynthSpec, generate, recovery_report
+from .synth import SynthSpec, generate, recovery_report
 
 __version__ = "0.1.0"
 
@@ -42,16 +38,11 @@ __all__ = [
     "ContingencyTable",
     "DegenerateGroup",
     "DomainError",
-    "EmptyGroup",
-    "EmptyRollout",
-    "InvalidReward",
-    "InvalidToken",
+    "InvalidGroup",
     "KtaeConfig",
     "KtaeError",
-    "LengthMismatch",
     "Rollout",
     "RolloutGroup",
-    "SpecError",
     "SynthSpec",
     "TokenStats",
     "compute_advantages",

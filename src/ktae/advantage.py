@@ -26,8 +26,7 @@ from . import frequency, stats
 from .core import (
     AdvantageMatrix,
     DegenerateGroup,
-    EmptyGroup,
-    InvalidReward,
+    InvalidGroup,
     KtaeConfig,
     RolloutGroup,
     TokenStatsColumns,
@@ -49,16 +48,16 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> np.n
     try:
         arr = np.asarray(list(rewards), dtype=np.float64)
     except OverflowError:  # an integer reward beyond float64
-        raise InvalidReward("rewards must all be finite") from None
+        raise InvalidGroup("rewards must all be finite") from None
     if arr.size < 2:
-        raise EmptyGroup(f"need at least 2 rewards, got {arr.size}")
+        raise InvalidGroup(f"need at least 2 rewards, got {arr.size}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidReward("rewards must all be finite")
+        raise InvalidGroup("rewards must all be finite")
     with np.errstate(over="ignore"):  # overflow is caught by the finite check below
         mean = float(arr.mean())
         std = float(arr.std())
     if not (math.isfinite(mean) and math.isfinite(std)):
-        raise InvalidReward("reward magnitudes overflow float64 statistics")
+        raise InvalidGroup("reward magnitudes overflow float64 statistics")
     if np.all(arr == arr[0]):
         advantages = np.zeros_like(arr)
     else:

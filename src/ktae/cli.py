@@ -29,7 +29,7 @@ from .records import (
     parse_advantage_record,
     parse_group_record,
 )
-from .synth import SpecError, SynthSpec, generate, recovery_report
+from .synth import SynthSpec, generate, recovery_report
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -132,6 +132,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise ConfigError(f"--output {args.output} is the --input file; it would be overwritten")
     # More workers than CPUs only add fork and memory cost; output is the same.
     workers = min(args.parallel, os.cpu_count() or 1)
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
@@ -201,8 +203,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise ConfigError(f"--max-n must be >= 0, got {args.max_n}")
+    if not 0 <= args.max_n <= MAX_EXACT_N:
+        bound = ">= 0" if args.max_n < 0 else f"<= {MAX_EXACT_N}"
+        raise ConfigError(f"--max-n must be {bound}, got {args.max_n}")
     started = time.perf_counter()
     worst, table = compare_fast_vs_exact(args.max_n)
     elapsed = time.perf_counter() - started
@@ -220,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (KtaeError, BrokenExecutor) as exc:  # BrokenExecutor: a --parallel worker died

@@ -31,24 +31,8 @@ class KtaeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptyGroup(KtaeError):
-    """Group has fewer than two rollouts."""
-
-
-class EmptyRollout(KtaeError):
-    """A rollout carries no tokens."""
-
-
-class LengthMismatch(KtaeError):
-    """Display texts do not align one-to-one with tokens."""
-
-
-class InvalidReward(KtaeError):
-    """Reward (or threshold) is not a finite number."""
-
-
-class InvalidToken(KtaeError):
-    """Token identifiers must be integers in [0, MAX_TOKEN_ID]."""
+class InvalidGroup(KtaeError):
+    """A group, or its reward list, breaks an input rule; the message names the rule."""
 
 
 class DegenerateGroup(KtaeError):
@@ -56,11 +40,11 @@ class DegenerateGroup(KtaeError):
 
 
 class DomainError(KtaeError):
-    """Argument lies outside the mathematical domain of an operation."""
+    """A kernel or oracle argument lies outside the domain it accepts."""
 
 
 class ConfigError(KtaeError):
-    """Configuration value violates its constraints."""
+    """A config or spec value, a config or spec file, or a flag violates its constraints."""
 
 
 @dataclass(frozen=True)
@@ -283,20 +267,22 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
     Returns the same (immutable) group on success so call sites can chain.
     """
     if group.size < 2:
-        raise EmptyGroup(f"group {group.group_id!r} has {group.size} rollout(s); need at least 2")
+        raise InvalidGroup(f"group {group.group_id!r} has {group.size} rollout(s); need at least 2")
     threshold = group.correctness_threshold
     if not _is_finite_number(threshold):
-        raise InvalidReward(f"group {group.group_id!r}: correctness_threshold {threshold!r} is not a finite number")
+        raise InvalidGroup(f"group {group.group_id!r}: correctness_threshold {threshold!r} is not a finite number")
     for i, rollout in enumerate(group.rollouts):
         if len(rollout.tokens) == 0:
-            raise EmptyRollout(f"group {group.group_id!r}: rollout {i} has no tokens")
+            raise InvalidGroup(f"group {group.group_id!r}: rollout {i} has no tokens")
         if rollout.texts is not None and len(rollout.texts) != len(rollout.tokens):
-            raise LengthMismatch(
+            raise InvalidGroup(
                 f"group {group.group_id!r}: rollout {i} has {len(rollout.texts)} texts "
                 f"for {len(rollout.tokens)} tokens"
             )
         if not _is_finite_number(rollout.reward):
-            raise InvalidReward(f"group {group.group_id!r}: rollout {i} reward {rollout.reward!r} is not finite")
+            raise InvalidGroup(
+                f"group {group.group_id!r}: rollout {i} reward {rollout.reward!r} is not a finite number"
+            )
     # What the id column rejects, and negative ids, are worded by the
     # per-rollout scan.
     try:
@@ -318,11 +304,11 @@ def _is_finite_number(value) -> bool:
 
 
 def _check_token_ids(group: RolloutGroup) -> None:
-    """Raise InvalidToken naming the first rollout with a bad token id."""
+    """Raise InvalidGroup naming the first rollout with a bad token id."""
     for i, rollout in enumerate(group.rollouts):
         if not all(isinstance(t, (int, np.integer)) for t in rollout.tokens):
-            raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a non-integer token id")
+            raise InvalidGroup(f"group {group.group_id!r}: rollout {i} contains a non-integer token id")
         if min(rollout.tokens) < 0:
-            raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a negative token id")
+            raise InvalidGroup(f"group {group.group_id!r}: rollout {i} contains a negative token id")
         if max(rollout.tokens) > MAX_TOKEN_ID:
-            raise InvalidToken(f"group {group.group_id!r}: rollout {i} contains a token id above {MAX_TOKEN_ID}")
+            raise InvalidGroup(f"group {group.group_id!r}: rollout {i} contains a token id above {MAX_TOKEN_ID}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 import math
 
-from .core import KtaeError, RolloutGroup
+from .core import InvalidGroup, KtaeError, RolloutGroup
 from .records import AdvantageRecord, RecordError
 
 # Recovered key-token-values are capped where the logistic saturates in
@@ -57,10 +57,6 @@ _ROLLOUT = """<div class="rollout">
 """
 
 
-class MissingTexts(KtaeError):
-    """Group has no display strings to render."""
-
-
 class UnknownGroup(KtaeError):
     """Requested group id was not found."""
 
@@ -91,7 +87,7 @@ def token_values(group: RolloutGroup, record: AdvantageRecord) -> dict[int, floa
 def render_group_html(group: RolloutGroup, record: AdvantageRecord) -> str:
     """Render one group's heatmap to a standalone HTML document."""
     if any(r.texts is None for r in group.rollouts):
-        raise MissingTexts(f"group {group.group_id!r} carries no display texts")
+        raise InvalidGroup(f"group {group.group_id!r} carries no display texts")
     if len(record.token_advantages) != group.size or any(
         len(row) != len(r.tokens) for row, r in zip(record.token_advantages, group.rollouts)
     ):

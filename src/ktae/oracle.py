@@ -17,21 +17,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContingencyTable, KtaeConfig, KtaeError, RolloutGroup, TokenStats, validate_group
+from .core import ContingencyTable, DomainError, KtaeConfig, RolloutGroup, TokenStats, validate_group
 
 # Exact hypergeometric arithmetic is capped: factorials stay exact at any
 # size, but enumeration cost and downstream float conversion do not.
 MAX_EXACT_N = 64
 
 
-class TableTooLarge(KtaeError):
-    """Contingency table exceeds the exact-arithmetic bound."""
-
-
 def _check_table(table: ContingencyTable, max_n: int) -> ContingencyTable:
     table.check()
     if table.n > max_n:
-        raise TableTooLarge(f"table total {table.n} exceeds exact bound {max_n}")
+        raise DomainError(f"table total {table.n} exceeds exact bound {max_n}")
     return table
 
 
@@ -202,7 +198,7 @@ def compare_fast_vs_exact(max_n: int) -> tuple[float, ContingencyTable | None]:
     from .stats import fisher_point_prob_array
 
     if max_n > MAX_EXACT_N:
-        raise TableTooLarge(f"max_n {max_n} exceeds exact bound {MAX_EXACT_N}")
+        raise DomainError(f"max_n {max_n} exceeds exact bound {MAX_EXACT_N}")
 
     def tables():
         return itertools.chain.from_iterable(all_tables_with_total(n) for n in range(1, max_n + 1))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .advantage import compute_advantages
-from .core import MAX_TOKEN_ID, KtaeConfig, KtaeError, Rollout, RolloutGroup, validate_group
+from .core import MAX_TOKEN_ID, ConfigError, KtaeConfig, Rollout, RolloutGroup, validate_group
 
 
 _PLANTS = ("planted_positive", "planted_negative", "planted_neutral")
@@ -27,10 +27,6 @@ _PLANTS = ("planted_positive", "planted_negative", "planted_neutral")
 # here (the largest generates about 272k), small enough that a typo in a spec
 # fails at once instead of filling memory.
 MAX_SPEC_TOKENS = 10**7
-
-
-class SpecError(KtaeError):
-    """Benchmark specification violates its invariants."""
 
 
 @dataclass(frozen=True)
@@ -53,35 +49,35 @@ class SynthSpec:
             try:
                 object.__setattr__(self, name, tuple(value))
             except TypeError:
-                raise SpecError(f"{name} must be a sequence of integers, got {value!r}") from None
+                raise ConfigError(f"{name} must be a sequence of integers, got {value!r}") from None
         for name in ("seed", "num_groups", "group_size", "base_vocab", "rollout_len_range", *_PLANTS):
             value = getattr(self, name)
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                        for v in (value if isinstance(value, tuple) else (value,))):
-                raise SpecError(f"{name} must hold only integers, got {value!r}")
+                raise ConfigError(f"{name} must hold only integers, got {value!r}")
         if self.seed < 0:
-            raise SpecError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_groups < 1:
-            raise SpecError(f"num_groups must be >= 1, got {self.num_groups}")
+            raise ConfigError(f"num_groups must be >= 1, got {self.num_groups}")
         if self.group_size < 2:
-            raise SpecError(f"group_size must be >= 2, got {self.group_size}")
+            raise ConfigError(f"group_size must be >= 2, got {self.group_size}")
         if not 1 <= self.base_vocab <= MAX_TOKEN_ID + 1:
-            raise SpecError(f"base_vocab must lie in [1, {MAX_TOKEN_ID + 1}], got {self.base_vocab}")
+            raise ConfigError(f"base_vocab must lie in [1, {MAX_TOKEN_ID + 1}], got {self.base_vocab}")
         if len(self.rollout_len_range) != 2 or not 1 <= self.rollout_len_range[0] <= self.rollout_len_range[1]:
-            raise SpecError(f"rollout_len_range must satisfy 1 <= lo <= hi, got {self.rollout_len_range}")
+            raise ConfigError(f"rollout_len_range must satisfy 1 <= lo <= hi, got {self.rollout_len_range}")
         plants = self.planted_positive + self.planted_negative + self.planted_neutral
         if len(set(plants)) != len(plants):
-            raise SpecError("planted token sets must be pairwise disjoint")
+            raise ConfigError("planted token sets must be pairwise disjoint")
         bad = [t for t in plants if not self.base_vocab <= t <= MAX_TOKEN_ID]
         if bad:
-            raise SpecError(f"planted tokens {bad} must lie in [{self.base_vocab}, {MAX_TOKEN_ID}], "
+            raise ConfigError(f"planted tokens {bad} must lie in [{self.base_vocab}, {MAX_TOKEN_ID}], "
                             "above the filler vocabulary and within int64")
         if self.num_groups * self.group_size * (self.rollout_len_range[1] + len(plants)) > MAX_SPEC_TOKENS:
-            raise SpecError(f"num_groups * group_size * (longest rollout + plants) exceeds {MAX_SPEC_TOKENS} tokens")
+            raise ConfigError(f"num_groups * group_size * (longest rollout + plants) exceeds {MAX_SPEC_TOKENS} tokens")
         if not isinstance(self.correct_fraction, numbers.Real) or not 0.0 < self.correct_fraction < 1.0:
-            raise SpecError(f"correct_fraction must be a number in (0, 1), got {self.correct_fraction!r}")
+            raise ConfigError(f"correct_fraction must be a number in (0, 1), got {self.correct_fraction!r}")
         if not 0 < self.num_correct < self.group_size:
-            raise SpecError(
+            raise ConfigError(
                 f"correct_fraction {self.correct_fraction} rounds to {self.num_correct} correct "
                 f"rollouts of {self.group_size}; groups must mix both outcomes"
             )
@@ -98,7 +94,7 @@ class SynthSpec:
         known = {f.name for f in fields(cls)}
         unknown = set(mapping) - known
         if unknown:
-            raise SpecError(f"unknown benchmark spec field(s): {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown benchmark spec field(s): {', '.join(sorted(unknown))}")
         return cls(**mapping)
 
 

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ktae import ContingencyTable as CT
 from ktae import (
     DegenerateGroup,
-    EmptyGroup,
-    InvalidReward,
+    InvalidGroup,
     KtaeConfig,
     Rollout,
     RolloutGroup,
@@ -56,19 +55,19 @@ class TestGrpoAdvantages:
         assert grpo_advantages([2.0, 0.0]).tolist() == [1.0, -1.0]
 
     def test_rejects_short_groups(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(InvalidGroup, match="need at least 2 rewards, got 1"):
             grpo_advantages([1.0])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidReward):
+        with pytest.raises(InvalidGroup, match="rewards must all be finite"):
             grpo_advantages([1.0, math.inf])
 
     def test_rejects_integer_reward_beyond_float64(self):
-        with pytest.raises(InvalidReward):
+        with pytest.raises(InvalidGroup, match="rewards must all be finite"):
             grpo_advantages([10**400, 0])
 
     def test_rejects_rewards_whose_moments_overflow(self):
-        with pytest.raises(InvalidReward):
+        with pytest.raises(InvalidGroup, match="reward magnitudes overflow float64 statistics"):
             grpo_advantages([1.7e308, 1.7e308, -1.0e308])
 
     def test_tiny_variance_is_guarded_not_zeroed(self):
@@ -217,7 +216,7 @@ class TestComputeAdvantages:
         assert len(matrix.token_advantages) == 2
 
     def test_validation_errors_propagate(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(InvalidGroup, match="need at least 2"):
             compute_advantages(RolloutGroup("g", (Rollout(tokens=(1,), reward=1.0),)))
 
     def test_validated_group_is_not_converted_again(self, monkeypatch):

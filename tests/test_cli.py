@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ktae.cli as cli
-from ktae import ContingencyTable, KtaeConfig, SpecError
+from ktae import ConfigError, ContingencyTable, KtaeConfig
 from ktae.cli import _process_line, main
 from ktae.records import group_record_line, load_flat_mapping, parse_advantage_record
 from ktae.synth import SynthSpec, generate
@@ -73,8 +73,7 @@ class TestCompute:
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(src), "--output", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err
-        assert "EmptyGroup" in err
+        assert "line 2: InvalidGroup: group 'tiny' has 1 rollout(s); need at least 2" in err
         assert len(read_lines(out)) == 1  # the record before the bad line
 
     def test_skip_bad_continues(self, batch, tmp_path, capsys):
@@ -98,11 +97,11 @@ class TestCompute:
         out = tmp_path / "out.jsonl"
         args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
         assert main(args + ["--skip-bad"]) == 0
-        assert "line 3: InvalidToken" in capsys.readouterr().err
+        assert "line 3: InvalidGroup: group 'huge': rollout 0 contains a token id above" in capsys.readouterr().err
         assert [json.loads(l)["group_id"] for l in read_lines(out)] == \
             [json.loads(l)["group_id"] for l in lines if '"huge"' not in l]
         assert main(args) == 1
-        assert "line 3: InvalidToken" in capsys.readouterr().err
+        assert "line 3: InvalidGroup: group 'huge': rollout 0 contains a token id above" in capsys.readouterr().err
         assert len(read_lines(out)) == 2
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
@@ -307,6 +306,16 @@ class TestCompute:
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(batch), "--output", str(out), "--parallel", "0"]) == 2
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_output_that_is_the_input_exits_2_and_leaves_it_intact(self, batch, tmp_path, capsys, link):
+        before = batch.read_bytes()
+        out = tmp_path / "link.jsonl" if link else batch
+        if link:
+            out.symlink_to(batch)
+        assert main(["compute", "--input", str(batch), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --output {out} is the --input file; it would be overwritten\n"
+        assert batch.read_bytes() == before
+
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out)]) == 1
@@ -412,7 +421,7 @@ class TestVisualize:
         src.write_text(json.dumps(group) + "\n")
         code, _ = self.render(tmp_path, src, "plain")
         assert code == 1
-        assert "MissingTexts" in capsys.readouterr().err
+        assert "error: InvalidGroup: group 'plain' carries no display texts" in capsys.readouterr().err
 
 
 class TestBench:
@@ -480,7 +489,7 @@ class TestSynthSpecFiles:
     def test_invariant_violations_surface_as_spec_errors(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"correct_fraction": 0.99}))
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="rounds to 16 correct rollouts of 16"):
             SynthSpec.from_dict(load_flat_mapping(path, "benchmark spec"))
 
 
@@ -494,7 +503,7 @@ class TestOracleCheck:
 
     def test_negative_bound_exits_2(self, capsys):
         assert main(["oracle-check", "--max-n", "-3"]) == 2
-        assert "--max-n must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: --max-n must be >= 0, got -3\n"
 
     def test_fault_is_reported_with_a_counterexample(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -505,8 +514,10 @@ class TestOracleCheck:
         assert "(2, 0, 1, 3)" in captured.out
         assert "FAIL" in captured.err
 
-    def test_bound_above_exact_range_exits_1(self, capsys):
-        assert main(["oracle-check", "--max-n", "65"]) == 1
+    def test_bound_above_exact_range_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "compare_fast_vs_exact", lambda max_n: pytest.fail("oracle check started"))
+        assert main(["oracle-check", "--max-n", "65"]) == 2
+        assert capsys.readouterr().err == "config error: --max-n must be <= 64, got 65\n"
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

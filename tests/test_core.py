@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,8 @@ from ktae import (
     ConfigError,
     ContingencyTable,
     DomainError,
-    EmptyGroup,
-    EmptyRollout,
-    InvalidReward,
-    InvalidToken,
+    InvalidGroup,
     KtaeConfig,
-    LengthMismatch,
     Rollout,
     RolloutGroup,
     validate_group,
@@ -36,26 +33,26 @@ def test_validate_partitions_binary_group():
 
 
 def test_validate_rejects_single_rollout():
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(InvalidGroup, match=r"has 1 rollout\(s\); need at least 2"):
         validate_group(make_group([1.0]))
 
 
 def test_validate_rejects_empty_tokens():
     group = RolloutGroup("g", (Rollout(tokens=(), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
-    with pytest.raises(EmptyRollout):
+    with pytest.raises(InvalidGroup, match="rollout 0 has no tokens"):
         validate_group(group)
 
 
 def test_validate_rejects_texts_length_mismatch():
     bad = Rollout(tokens=(1, 2, 3), reward=1.0, texts=("a", "b"))
     group = RolloutGroup("g", (bad, Rollout(tokens=(1,), reward=0.0)))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidGroup, match="rollout 0 has 2 texts for 3 tokens"):
         validate_group(group)
 
 
 def test_validate_rejects_negative_token():
     group = RolloutGroup("g", (Rollout(tokens=(1, -2), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
-    with pytest.raises(InvalidToken):
+    with pytest.raises(InvalidGroup, match="rollout 0 contains a negative token id"):
         validate_group(group)
 
 
@@ -64,42 +61,44 @@ def test_validate_bounds_token_ids_to_int64():
     ok = RolloutGroup("g", (Rollout(tokens=(top,), reward=1.0), Rollout(tokens=(0,), reward=0.0)))
     assert validate_group(ok) is ok
     bad = RolloutGroup("g", (Rollout(tokens=(1, top + 1), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
-    with pytest.raises(InvalidToken, match="rollout 0"):
+    with pytest.raises(InvalidGroup, match=f"rollout 0 contains a token id above {top}"):
         validate_group(bad)
 
 
 @pytest.mark.parametrize("bad", [(1.5, 2.7, 3), (1, 2.0), (1, "2"), (None,), ((1, 2), 3), ([1], [2])])
 def test_validate_rejects_non_integer_token_ids(bad):
     group = RolloutGroup("g", (Rollout(tokens=(1, 2, 3), reward=1.0), Rollout(tokens=bad, reward=0.0)))
-    with pytest.raises(InvalidToken, match="rollout 1 contains a non-integer token id"):
+    with pytest.raises(InvalidGroup, match="rollout 1 contains a non-integer token id"):
         validate_group(group)
 
 
 def test_validate_keeps_the_first_bad_rollouts_message():
     rollouts = (Rollout(tokens=(1, -2), reward=1.0), Rollout(tokens=(1.5,), reward=0.0))
-    with pytest.raises(InvalidToken, match="rollout 0 contains a negative token id"):
+    with pytest.raises(InvalidGroup, match="rollout 0 contains a negative token id"):
         validate_group(RolloutGroup("g", rollouts))
     rollouts = (Rollout(tokens=(1,), reward=1.0), Rollout(tokens=(2**64, -1), reward=0.0))
-    with pytest.raises(InvalidToken, match="rollout 1 contains a negative token id"):
+    with pytest.raises(InvalidGroup, match="rollout 1 contains a negative token id"):
         validate_group(RolloutGroup("g", rollouts))
 
 
-def test_validate_rejects_non_finite_reward():
-    group = RolloutGroup("g", (Rollout(tokens=(1,), reward=math.nan), Rollout(tokens=(1,), reward=0.0)))
-    with pytest.raises(InvalidReward):
+@pytest.mark.parametrize("reward", [True, "1.0", None, math.nan, math.inf,
+                                    pytest.param(10**400, id="int-beyond-float64")])
+def test_validate_rejects_non_finite_reward(reward):
+    group = RolloutGroup("g", (Rollout(tokens=(1,), reward=reward), Rollout(tokens=(1,), reward=0.0)))
+    with pytest.raises(InvalidGroup, match=f"rollout 0 reward {re.escape(repr(reward))} is not a finite number$"):
         validate_group(group)
 
 
 def test_validate_rejects_an_integer_reward_beyond_float64():
     group = RolloutGroup("g", (Rollout(tokens=(1,), reward=10**400), Rollout(tokens=(1,), reward=0.0)))
-    with pytest.raises(InvalidReward, match="rollout 0 reward"):
+    with pytest.raises(InvalidGroup, match="rollout 0 reward .* is not a finite number"):
         validate_group(group)
 
 
 @pytest.mark.parametrize("threshold", [True, False, math.inf, math.nan, "0.5", None,
                                        pytest.param(10**400, id="int-beyond-float64")])
 def test_validate_rejects_a_threshold_that_is_not_a_finite_number(threshold):
-    with pytest.raises(InvalidReward, match="correctness_threshold"):
+    with pytest.raises(InvalidGroup, match="correctness_threshold .* is not a finite number"):
         validate_group(make_group([1.0, 0.0], threshold=threshold))
 
 

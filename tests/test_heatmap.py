@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ktae import Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae import InvalidGroup, Rollout, RolloutGroup, compute_advantages, validate_group
 from ktae.advantage import sigmoid_shift
-from ktae.heatmap import MissingTexts, _logit, render_group_html, token_values
+from ktae.heatmap import _logit, render_group_html, token_values
 from ktae.records import RecordError, advantage_record_line, parse_advantage_record
 
 from conftest import parse_spans
@@ -68,7 +68,7 @@ class TestRenderGroupHtml:
                 "g", (Rollout(tokens=(1, 2), reward=1.0), Rollout(tokens=(2,), reward=0.0))
             )
         )
-        with pytest.raises(MissingTexts):
+        with pytest.raises(InvalidGroup, match="group 'g' carries no display texts"):
             render_group_html(bare, record_for(bare, True))
 
     def test_shape_mismatch_is_an_error(self):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktae import ContingencyTable as CT
-from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
 from ktae.oracle import (
-    TableTooLarge,
     brute_force_stats,
     compare_fast_vs_exact,
     fisher_exact_rational,
@@ -34,7 +33,7 @@ class TestFisherExactRational:
         assert fisher_exact_rational(CT(9, 5, 0, 0)) == Fraction(1)
 
     def test_rejects_tables_beyond_bound(self):
-        with pytest.raises(TableTooLarge):
+        with pytest.raises(DomainError, match="table total 80 exceeds exact bound 64"):
             fisher_exact_rational(CT(40, 40, 0, 0))
 
     def test_sums_to_one_over_fixed_margins(self):
@@ -170,7 +169,7 @@ class TestCompareFastVsExact:
         assert worst <= 1e-9
 
     def test_rejects_bounds_beyond_exact_range(self):
-        with pytest.raises(TableTooLarge):
+        with pytest.raises(DomainError, match="max_n 65 exceeds exact bound 64"):
             compare_fast_vs_exact(65)
 
     def test_vacuous_range_reports_zero_error(self):

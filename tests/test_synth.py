@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import KtaeConfig, SpecError, SynthSpec, dapo_admissible, generate, recovery_report, validate_group
+from ktae import ConfigError, KtaeConfig, SynthSpec, dapo_admissible, generate, recovery_report, validate_group
 from ktae.synth import MAX_SPEC_TOKENS
 
 SMALL = SynthSpec(num_groups=12, base_vocab=60, rollout_len_range=(10, 16))
@@ -20,23 +20,23 @@ class TestSynthSpec:
         assert spec.num_correct == 12
 
     def test_rejects_overlapping_plants(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="planted token sets must be pairwise disjoint"):
             SynthSpec(planted_positive=(9001,), planted_negative=(9001,))
 
     def test_rejects_plants_inside_filler_vocab(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match=r"planted tokens \[5\] must lie in \[300, "):
             SynthSpec(base_vocab=300, planted_positive=(5,))
 
     def test_rejects_degenerate_correct_fraction(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="rounds to 16 correct rollouts of 16"):
             SynthSpec(correct_fraction=0.99, group_size=16)  # rounds to 16 of 16
 
     def test_rejects_bad_length_range(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="rollout_len_range must satisfy 1 <= lo <= hi"):
             SynthSpec(rollout_len_range=(0, 4))
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="rollout_len_range must satisfy 1 <= lo <= hi"):
             SynthSpec(rollout_len_range=(9, 4))
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="rollout_len_range must satisfy 1 <= lo <= hi"):
             SynthSpec(rollout_len_range=(4,))
 
     @pytest.mark.parametrize("field, value", [
@@ -46,17 +46,17 @@ class TestSynthSpec:
         ("base_vocab", 2**63 + 1),
     ])
     def test_rejects_integer_fields_that_are_not_usable_integers(self, field, value):
-        with pytest.raises(SpecError, match=field):
+        with pytest.raises(ConfigError, match=field):
             SynthSpec(**{field: value})
 
     @pytest.mark.parametrize("value", ["0.75", None, (0.75,)])
     def test_rejects_correct_fraction_that_is_not_a_number(self, value):
-        with pytest.raises(SpecError, match="correct_fraction"):
+        with pytest.raises(ConfigError, match="correct_fraction"):
             SynthSpec(correct_fraction=value)
 
     def test_plants_may_reach_but_not_exceed_the_largest_token_id(self):
         assert SynthSpec(planted_positive=(2**63 - 1,)).planted_positive == (2**63 - 1,)
-        with pytest.raises(SpecError, match=str(2**63)):
+        with pytest.raises(ConfigError, match=str(2**63)):
             SynthSpec(planted_positive=(2**63,))
 
     @pytest.mark.parametrize("sizes", [
@@ -65,7 +65,7 @@ class TestSynthSpec:
         {"num_groups": 10**7 // 816 + 1, "rollout_len_range": (48, 48)},  # 16 * (48 + 3) tokens per group
     ])
     def test_rejects_specs_beyond_the_token_bound(self, sizes):
-        with pytest.raises(SpecError, match=str(MAX_SPEC_TOKENS)):
+        with pytest.raises(ConfigError, match=str(MAX_SPEC_TOKENS)):
             SynthSpec(**sizes)
 
     def test_token_bound_admits_a_spec_at_the_bound(self):
@@ -73,7 +73,7 @@ class TestSynthSpec:
         assert MAX_SPEC_TOKENS - 816 < spec.num_groups * 816 <= MAX_SPEC_TOKENS
 
     def test_rejects_empty_batch(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="num_groups must be >= 1, got 0"):
             SynthSpec(num_groups=0)
 
     def test_dict_round_trip(self):
@@ -81,7 +81,7 @@ class TestSynthSpec:
         assert SynthSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match=r"unknown benchmark spec field\(s\): plants"):
             SynthSpec.from_dict({"plants": (1,)})
 
     # Field names and valid values are drawn often, so later checks get reached.
@@ -100,7 +100,7 @@ class TestSynthSpec:
         # What load_flat_mapping hands to from_dict: str keys, JSON values as parsed.
         try:
             assert isinstance(SynthSpec.from_dict(mapping), SynthSpec)
-        except SpecError:
+        except ConfigError:
             pass
 
 
