@@ -38,7 +38,7 @@ from .core import (
 DELTA_MAX = math.nextafter(0.5, 0.0)
 
 
-def grpo_advantages(rewards: Sequence[float], std_epsilon: float = 1e-8) -> np.ndarray:
+def grpo_advantages(rewards: Sequence[float], std_epsilon: float = KtaeConfig.std_epsilon) -> np.ndarray:
     """(reward - mean) / max(population std, std_epsilon) per rollout, as a
     read-only array.
 

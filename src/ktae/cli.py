@@ -97,14 +97,14 @@ def resolve_config(args: argparse.Namespace) -> KtaeConfig:
 
 
 def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool):
-    """Worker: one input line to one output line (or a diagnostic)."""
+    """Worker: one numbered input line to (output line, None) or (None, diagnostic)."""
     lineno, line = item
     try:
         group = parse_group_record(_check_utf8(line))
         matrix = compute_advantages(group, config)  # validates the group
-        return lineno, advantage_record_line(group.group_id, matrix, include_stats), None
+        return advantage_record_line(group.group_id, matrix, include_stats), None
     except KtaeError as exc:
-        return lineno, None, f"line {lineno}: {type(exc).__name__}: {exc}"
+        return None, f"line {lineno}: {type(exc).__name__}: {exc}"
 
 
 def _open_lines(path: str):
@@ -132,16 +132,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
-        raise ConfigError(f"--output {args.output} is the --input file; it would be overwritten")
     # More workers than CPUs only add fork and memory cost; output is the same.
     workers = min(args.parallel, os.cpu_count() or 1)
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
+    # One worker maps in process, with no pool to start. Batches keep memory
+    # bounded on huge inputs, and both maps keep input order.
     with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst, \
-            contextlib.ExitStack() as stack:
-        # One worker maps in process, with no pool to start. Batches keep
-        # memory bounded on huge inputs, and both maps keep input order.
-        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
+            (ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()) as pool:
         items = _numbered_lines(src)
         while batch := list(itertools.islice(items, workers * 64)):
             step = max(1, len(batch) // (workers * CHUNKS_PER_WORKER))
@@ -153,7 +150,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def _drain(results, dst, skip_bad: bool) -> bool:
     """Write results in order; returns True when a bad record stops the run."""
-    for _, line, diagnostic in results:
+    for line, diagnostic in results:
         if diagnostic is not None:
             print(diagnostic, file=sys.stderr)
             if not skip_bad:
@@ -218,10 +215,20 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_overwrite(args: argparse.Namespace) -> None:
+    """ConfigError when an output flag names an existing file that an input flag also names."""
+    paths = {flag: path for flag in ("output", "report", "input", "advantages", "config", "spec")
+             if (path := getattr(args, flag, None)) and os.path.exists(path)}
+    for out, inp in itertools.product(("output", "report"), ("input", "advantages", "config", "spec")):
+        if out in paths and inp in paths and os.path.samefile(paths[inp], paths[out]):
+            raise ConfigError(f"--{out} {paths[out]} is the --{inp} file; it would be overwritten")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_overwrite(args)  # before any command opens its output
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -167,9 +167,6 @@ class KtaeConfig:
         if self.degenerate_policy not in ("zeros", "error"):
             raise ConfigError(f"degenerate_policy must be 'zeros' or 'error', got {self.degenerate_policy!r}")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, mapping: dict) -> "KtaeConfig":
         known = {f.name for f in fields(cls)}

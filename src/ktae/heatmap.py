@@ -88,6 +88,8 @@ def render_group_html(group: RolloutGroup, record: AdvantageRecord) -> str:
     """Render one group's heatmap to a standalone HTML document."""
     if any(r.texts is None for r in group.rollouts):
         raise InvalidGroup(f"group {group.group_id!r} carries no display texts")
+    if not all(isinstance(text, str) for r in group.rollouts for text in r.texts):
+        raise InvalidGroup(f"group {group.group_id!r} has a display text that is not a string")
     if len(record.token_advantages) != group.size or any(
         len(row) != len(r.tokens) for row, r in zip(record.token_advantages, group.rollouts)
     ):

@@ -19,24 +19,17 @@ import numpy as np
 
 from .core import ContingencyTable, DomainError, KtaeConfig, RolloutGroup, TokenStats, validate_group
 
-# Exact hypergeometric arithmetic is capped: factorials stay exact at any
-# size, but enumeration cost and downstream float conversion do not.
+# Largest table total compare_fast_vs_exact sweeps: its cost grows as N^4
+# (814k tables at 64). A single table takes any total.
 MAX_EXACT_N = 64
 
 
-def _check_table(table: ContingencyTable, max_n: int) -> ContingencyTable:
-    table.check()
-    if table.n > max_n:
-        raise DomainError(f"table total {table.n} exceeds exact bound {max_n}")
-    return table
-
-
-def fisher_exact_rational(table: ContingencyTable, max_n: int = MAX_EXACT_N) -> Fraction:
+def fisher_exact_rational(table: ContingencyTable) -> Fraction:
     """Point hypergeometric probability of a 2x2 table, as an exact rational.
 
     C(a+b, a) * C(c+d, c) / C(n, a+c) with the table margins held fixed.
     """
-    a, b, c, d = _check_table(table, max_n)
+    a, b, c, d = table.check()
     return Fraction(comb(a + b, a) * comb(c + d, c), comb(table.n, a + c))
 
 
@@ -48,18 +41,17 @@ def same_margin_tables(table: ContingencyTable) -> list[ContingencyTable]:
     return [ContingencyTable(k, r1 - k, c1 - k, n - r1 - c1 + k) for k in range(lo, hi + 1)]
 
 
-def fisher_two_sided_enum(table: ContingencyTable, max_n: int = MAX_EXACT_N) -> Fraction:
+def fisher_two_sided_enum(table: ContingencyTable) -> Fraction:
     """Two-sided test probability by exhaustive same-margin enumeration.
 
     Sums the point probabilities of every table (same margins) whose point
     probability is at most the observed one; comparisons are exact, so ties
     are included with no floating-point hedging.
     """
-    _check_table(table, max_n)
-    observed = fisher_exact_rational(table, max_n)
+    observed = fisher_exact_rational(table)
     total = Fraction(0)
     for candidate in same_margin_tables(table):
-        p = fisher_exact_rational(candidate, max_n)
+        p = fisher_exact_rational(candidate)
         if p <= observed:
             total += p
     return total
@@ -151,10 +143,7 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
         table = brute_force_stats(group, token)
         a, b, c, d = table
         n = table.n
-        if config.fisher_mode == "two_sided":
-            exact_p = fisher_two_sided_enum(table, max_n=n)
-        else:
-            exact_p = fisher_exact_rational(table, max_n=n)
+        exact_p = (fisher_two_sided_enum if config.fisher_mode == "two_sided" else fisher_exact_rational)(table)
         p = float(exact_p)
         fisher_score = 0.0 if exact_p == 1 else math.exp(-2.0 * p)
         cond = ((a + b) / n) * _entropy_bits(a, a + b) + ((c + d) / n) * _entropy_bits(c, c + d)

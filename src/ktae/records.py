@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,11 @@ def _require(condition: bool, message: str) -> None:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A number that float64 holds as a finite value: no NaN, infinity or huge int."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 def _parse_json_line(line: str) -> dict:
@@ -172,15 +178,15 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
     _require(isinstance(group_id, str), "group_id must be a string")
     rollout_adv = obj.get("rollout_advantages")
     _require(
-        isinstance(rollout_adv, list) and all(_is_number(v) for v in rollout_adv),
-        "rollout_advantages must be an array of numbers",
+        isinstance(rollout_adv, list) and all(map(_is_finite, rollout_adv)),
+        "rollout_advantages must be an array of finite numbers",
     )
     token_adv = obj.get("token_advantages")
     _require(isinstance(token_adv, list), "token_advantages must be an array of arrays")
     for i, row in enumerate(token_adv):
         _require(
-            isinstance(row, list) and all(_is_number(v) for v in row),
-            f"token_advantages[{i}] must be an array of numbers",
+            isinstance(row, list) and all(map(_is_finite, row)),
+            f"token_advantages[{i}] must be an array of finite numbers",
         )
     _require(len(token_adv) == len(rollout_adv), "token_advantages must have one row per rollout")
     stats = obj.get("token_stats")
@@ -194,6 +200,7 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
             except ValueError:
                 raise RecordError(f"token_stats key {key!r} is not an integer token id") from None
             _require(isinstance(entry, dict), f"token_stats[{key}] must be an object")
+            _require(_is_finite(entry.get("ktv", 0.0)), f"token_stats[{key}].ktv must be a finite number")
             parsed_stats[tok] = entry
     return AdvantageRecord(
         group_id=group_id,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class SynthSpec:
     @property
     def num_correct(self) -> int:
         return int(round(self.correct_fraction * self.group_size))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SynthSpec":
@@ -175,8 +172,8 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
     filler_ktv = np.asarray(filler_abs_ktv, dtype=np.float64)
     return {
         "num_groups": len(groups),
-        "spec": spec.to_dict(),
-        "config": config.to_dict(),
+        "spec": asdict(spec),
+        "config": asdict(config),
         "sign_accuracy_positive": pos_correct / pos_total if pos_total else 1.0,
         "sign_accuracy_negative": neg_correct / neg_total if neg_total else 1.0,
         "sign_accuracy": (pos_correct + neg_correct) / (pos_total + neg_total)

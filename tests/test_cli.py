@@ -322,6 +322,34 @@ class TestCompute:
         assert "absent.jsonl" in capsys.readouterr().err
 
 
+class TestOutputNamingAnInput:
+    FLAGS = {
+        "compute": ("--input", "--config", "--output"),
+        "visualize": ("--input", "--advantages", "--output"),
+        "bench": ("--spec", "--report"),
+    }
+
+    @pytest.mark.parametrize("command, out_flag, in_flag", [
+        ("visualize", "--output", "--input"),
+        ("visualize", "--output", "--advantages"),
+        ("compute", "--output", "--config"),
+        ("bench", "--report", "--spec"),
+    ], ids=["visualize-input", "visualize-advantages", "compute-config", "bench-spec"])
+    def test_exits_2_and_leaves_the_input_intact(self, batch, tmp_path, capsys, command, out_flag, in_flag):
+        paths = {"--input": batch, "--advantages": tmp_path / "adv.jsonl", "--config": tmp_path / "config.json",
+                 "--spec": tmp_path / "spec.json", "--output": tmp_path / "out", "--report": tmp_path / "report.json"}
+        assert main(["compute", "--input", str(batch), "--output", str(paths["--advantages"])]) == 0
+        paths["--config"].write_text(json.dumps({"h1": 0.5}))
+        paths["--spec"].write_text(json.dumps({"num_groups": 2, "base_vocab": 40, "rollout_len_range": [6, 10]}))
+        paths[out_flag] = target = paths[in_flag]
+        before = target.read_bytes()
+        argv = [command] + [arg for flag in self.FLAGS[command] for arg in (flag, str(paths[flag]))]
+        assert main(argv + (["--group", "synth-0000"] if command == "visualize" else [])) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {out_flag} {target} is the {in_flag} file; it would be overwritten\n"
+        assert target.read_bytes() == before
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
@@ -358,8 +386,7 @@ class TestProcessLineFuzz:
     @given(fuzz_lines, st.booleans())
     @settings(max_examples=500, deadline=None)
     def test_every_line_gives_an_output_line_or_a_diagnostic(self, line, include_stats):
-        lineno, output, diagnostic = _process_line((7, line), KtaeConfig(), include_stats)
-        assert lineno == 7
+        output, diagnostic = _process_line((7, line), KtaeConfig(), include_stats)
         assert (output is None) != (diagnostic is None)
         if diagnostic is not None:
             assert diagnostic.startswith("line 7: ")
@@ -411,6 +438,36 @@ class TestVisualize:
                      "--group", "synth-0000", "--output", str(tmp_path / "heat.html")])
         assert code == 1
         assert "line 1: line is not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, raw, message", [
+        ("ktv", '"abc"', "token_stats[{key}].ktv must be a finite number"),
+        ("ktv", "null", "token_stats[{key}].ktv must be a finite number"),
+        ("ktv", "[1]", "token_stats[{key}].ktv must be a finite number"),
+        ("ktv", "1e400", "token_stats[{key}].ktv must be a finite number"),
+        ("ktv", "true", "token_stats[{key}].ktv must be a finite number"),
+        ("token_advantages", "NaN", "token_advantages[0] must be an array of finite numbers"),
+        ("rollout_advantages", "-Infinity", "rollout_advantages must be an array of finite numbers"),
+    ], ids=["ktv-string", "ktv-null", "ktv-array", "ktv-overflow", "ktv-bool", "token-nan", "rollout-infinity"])
+    def test_bad_advantage_value_is_one_record_error(self, batch, tmp_path, capsys, field, raw, message):
+        adv = tmp_path / "adv.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(adv), "--stats"]) == 0
+        record = json.loads(read_lines(adv)[0])
+        key = next(iter(record["token_stats"]))
+        if field == "ktv":
+            record["token_stats"][key]["ktv"] = "RAW"
+        elif field == "token_advantages":
+            record["token_advantages"][0][0] = "RAW"
+        else:
+            record["rollout_advantages"][0] = "RAW"
+        adv.write_text(json.dumps(record).replace('"RAW"', raw) + "\n")
+        capsys.readouterr()
+        html_path = tmp_path / "heat.html"
+        code = main(["visualize", "--input", str(batch), "--advantages", str(adv),
+                     "--group", record["group_id"], "--output", str(html_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: RecordError: {adv} line 1: {message.format(key=key)}\n"
+        assert not html_path.exists()
 
     def test_missing_texts_exits_1(self, tmp_path, capsys):
         group = {

@@ -162,7 +162,7 @@ class TestKtaeConfig:
 
     def test_defaults_round_trip_through_serialization(self):
         cfg = KtaeConfig()
-        assert KtaeConfig.from_dict(cfg.to_dict()) == cfg
+        assert KtaeConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     @given(
         st.floats(0.0, 5.0),
@@ -173,7 +173,7 @@ class TestKtaeConfig:
     )
     def test_valid_configs_round_trip(self, h1, h2, h3, k1, b):
         cfg = KtaeConfig(h1=h1, h2=h2, h3=h3, k1=k1, b=b)
-        assert KtaeConfig.from_dict(cfg.to_dict()) == cfg
+        assert KtaeConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     # Field names and valid values are drawn often, so later checks get reached.
     @given(st.dictionaries(

@@ -71,6 +71,13 @@ class TestRenderGroupHtml:
         with pytest.raises(InvalidGroup, match="group 'g' carries no display texts"):
             render_group_html(bare, record_for(bare, True))
 
+    def test_non_string_texts_are_an_error(self):
+        group = validate_group(RolloutGroup(
+            "g", (Rollout(tokens=(1, 2), reward=1.0, texts=("a", 2)), Rollout(tokens=(2,), reward=0.0, texts=("b",)))
+        ))
+        with pytest.raises(InvalidGroup, match="group 'g' has a display text that is not a string"):
+            render_group_html(group, record_for(group, True))
+
     def test_shape_mismatch_is_an_error(self):
         group = planted_group()
         record = record_for(group, True)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ class TestFisherExactRational:
     def test_degenerate_row_cancels_to_one(self):
         assert fisher_exact_rational(CT(9, 5, 0, 0)) == Fraction(1)
 
-    def test_rejects_tables_beyond_bound(self):
-        with pytest.raises(DomainError, match="table total 80 exceeds exact bound 64"):
-            fisher_exact_rational(CT(40, 40, 0, 0))
+    def test_rejects_negative_counts(self):
+        with pytest.raises(DomainError, match="contingency counts must be non-negative"):
+            fisher_exact_rational(CT(3, -1, 2, 2))
 
     def test_sums_to_one_over_fixed_margins(self):
         # the point probabilities of all same-margin tables form a distribution
@@ -42,6 +43,13 @@ class TestFisherExactRational:
 
         total = sum(fisher_exact_rational(t) for t in same_margin_tables(CT(3, 2, 4, 5)))
         assert total == Fraction(1)
+
+    def test_table_beyond_the_sweep_bound(self):
+        from ktae.oracle import same_margin_tables
+
+        table = CT(30, 20, 25, 25)  # n = 100, past MAX_EXACT_N
+        assert fisher_exact_rational(table) == Fraction(comb(50, 30) * comb(50, 25), comb(100, 55))
+        assert sum(fisher_exact_rational(t) for t in same_margin_tables(table)) == Fraction(1)
 
 
 class TestFisherTwoSidedEnum:
@@ -55,6 +63,16 @@ class TestFisherTwoSidedEnum:
     def test_perfect_split_includes_tied_corner(self):
         # margins (4,4)/(4,4): a=0 and a=4 tie at 1/70 each
         assert fisher_two_sided_enum(CT(4, 0, 0, 4)) == Fraction(2, 70) == Fraction(1, 35)
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(DomainError, match="contingency counts must be non-negative"):
+            fisher_two_sided_enum(CT(3, -1, 2, 2))
+
+    @pytest.mark.parametrize("table", [CT(80, 48, 40, 88), CT(64, 64, 64, 64)], ids=["skewed", "uniform"])
+    def test_table_beyond_the_sweep_bound_matches_the_fast_kernel(self, table):
+        assert table.n == 256
+        fast = stats.fisher_two_sided_prob_array(*(np.array([x]) for x in table)).item()
+        assert math.isclose(fast, float(fisher_two_sided_enum(table)), rel_tol=1e-9)
 
 
 class TestBruteForceStats:

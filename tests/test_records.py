@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -360,6 +361,6 @@ class TestConfigFiles:
     def test_full_round_trip(self, tmp_path):
         cfg = KtaeConfig(h1=0.5, fisher_mode="two_sided", degenerate_policy="error")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert read_config(path) == cfg
 

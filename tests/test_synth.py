@@ -78,7 +78,7 @@ class TestSynthSpec:
 
     def test_dict_round_trip(self):
         spec = SynthSpec()
-        assert SynthSpec.from_dict(spec.to_dict()) == spec
+        assert SynthSpec.from_dict(dataclasses.asdict(spec)) == spec
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown benchmark spec field\(s\): plants"):
@@ -109,7 +109,7 @@ class TestGenerate:
         assert generate(SMALL) == generate(SMALL)
 
     def test_different_seeds_differ(self):
-        other = SynthSpec(**{**SMALL.to_dict(), "seed": 1})
+        other = dataclasses.replace(SMALL, seed=1)
         assert generate(SMALL) != generate(other)
 
     def test_partition_counts_match_the_fraction(self):
