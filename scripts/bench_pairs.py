@@ -2,7 +2,9 @@
 """Run the benchmark in alternating parent/change pairs and write a BENCH_*.json summary.
 
 The parent revision is exported with `git archive` into a temporary directory,
-which is removed afterwards. Each pair runs
+which is removed afterwards, also when the script is stopped by SIGTERM or
+Ctrl-C; the benchmark run in progress is then killed with every process it
+started. Each pair runs
 
     python3 perfbench/run.py --workload all --seed S --seconds 45
 
@@ -28,9 +30,11 @@ Usage:
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,13 +64,24 @@ def export(rev: str, into: Path) -> None:
 
 
 def bench(tree: Path, seed: int) -> dict:
-    """One `perfbench/run.py --workload all` run; its final JSON line plus the exit code."""
-    proc = subprocess.run(
+    """One `perfbench/run.py --workload all` run; its final JSON line plus the exit code.
+
+    The run has its own session, so an interrupt can kill its whole process
+    group: the run and the per-workload processes it starts.
+    """
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed), "--seconds", str(SECONDS)],
-        cwd=tree, stdout=subprocess.PIPE, text=True,
+        cwd=tree, stdout=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
-        result = json.loads(proc.stdout.splitlines()[-1])
+        stdout, _ = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    try:
+        result = json.loads(stdout.splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": None, "metrics": {}}
     return {"exit": proc.returncode, "correct": result["correct"], "failed": result["failed"],
@@ -119,6 +134,11 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return summary
 
 
+def interrupt(signum, frame):
+    """Turn SIGTERM into KeyboardInterrupt, so that cleanup runs as on Ctrl-C."""
+    raise KeyboardInterrupt
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
@@ -127,6 +147,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    signal.signal(signal.SIGTERM, interrupt)
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -164,4 +185,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        sys.exit("bench_pairs: interrupted")

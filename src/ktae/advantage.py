@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +38,13 @@ from .core import (
 # Largest magnitude a delta may take: the predecessor of 0.5, so the strict
 # |delta| < 0.5 bound survives sigmoid saturation at huge key-token-values.
 DELTA_MAX = math.nextafter(0.5, 0.0)
+
+# Table statistics per margin (n_T, n_F, fisher_mode), one lattice cell per
+# table; whole margins are evicted least recently used past the cell budget.
+_MEMO_CELLS = 1 << 18
+_memo: OrderedDict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_memo_cells = 0
+_memo_lock = threading.Lock()
 
 
 def grpo_advantages(rewards: Sequence[float], std_epsilon: float = KtaeConfig.std_epsilon) -> np.ndarray:
@@ -118,14 +127,13 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
 
     Token ids are processed in sorted order. What depends only on a token's
     contingency table (Fisher probability and score, information gain,
-    Cohen's h, association strength) is computed once per distinct table in
-    the group, the frequency scores once per occurrence count, and the rest
-    once per token id; each id's values are broadcast to all of its
-    positions. A group whose rollouts are all correct or all incorrect either
-    raises DegenerateGroup (degenerate_policy="error") or falls through the
-    normal math, where every table has an empty column, so every
-    key-token-value is exactly zero and the token advantages equal the
-    rollout baseline.
+    Cohen's h) is computed once per margin cell per process, the frequency
+    scores once per occurrence count, and the rest once per token id; each
+    id's values are broadcast to all of its positions. A group whose
+    rollouts are all correct or all incorrect either raises DegenerateGroup
+    (degenerate_policy="error") or falls through the normal math, where
+    every table has an empty column, so every key-token-value is exactly
+    zero and the token advantages equal the rollout baseline.
     """
     config = config if config is not None else KtaeConfig()
     group = validate_group(group)
@@ -142,24 +150,8 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     c = n_true - a
     d = n_false - b
 
-    # The group fixes the table margins, so each table is named by its cell
-    # (a, b) and tokens share few of them. Evaluate each table present once.
-    cell = a * (n_false + 1) + b
-    present = np.bincount(cell) > 0
-    table = np.flatnonzero(present)
-    table_slot = np.empty(present.size, dtype=np.intp)
-    table_slot[table] = np.arange(table.size)
-    slot = table_slot[cell]
-    ta, tb = np.divmod(table, n_false + 1)
-    tc, td = n_true - ta, n_false - tb
-    if config.fisher_mode == "two_sided":
-        table_p = stats.fisher_two_sided_prob_array(ta, tb, tc, td)
-    else:
-        table_p = stats.fisher_point_prob_array(ta, tb, tc, td)
-    table_f = stats.fisher_score_array(table_p)
-    table_ig = stats.info_gain_array(ta, tb, tc, td)
-    table_h = frequency.cohen_h_array(ta, tb, tc, td)
-    table_strength = config.h1 * table_f + config.h2 * table_ig
+    table_p, table_f, table_ig, table_h = _table_stats(n_true, n_false, config.fisher_mode, a * (n_false + 1) + b)
+    strength = config.h1 * table_f + config.h2 * table_ig
 
     # Mean rollout lengths from exact integer sums. An empty side's TF counts
     # are all 0, so the group mean standing in for its length never shows.
@@ -168,8 +160,8 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     len_avg = total / group.size
     tfs_true = _tf_scores(tf_true, total_true / n_true if n_true else len_avg, len_avg, config)
     tfs_false = _tf_scores(tf_false, (total - total_true) / n_false if n_false else len_avg, len_avg, config)
-    direction = table_h[slot] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
-    ktv = table_strength[slot] * direction
+    direction = table_h + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
+    ktv = strength * direction
     delta = sigmoid_shift(ktv)
     base, delta = _snap_to_group_grid(baseline, delta)
 
@@ -179,10 +171,44 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
         rollout_advantages=base,
         token_advantages=tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes)),
         token_stats=TokenStatsColumns(
-            tokens, a, b, c, d, table_p[slot], table_f[slot], table_ig[slot],
+            tokens, a, b, c, d, table_p, table_f, table_ig,
             tf_true, tf_false, tfs_true, tfs_false, direction, ktv,
         ),
     )
+
+
+def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) -> np.ndarray:
+    """Fisher p, Fisher score, information gain and Cohen's h per token, as
+    the rows of a fresh (4, len(cell)) array.
+
+    The margins fix every table a group can have, so each table is named by
+    its cell a*(n_false+1) + b. A cell is evaluated once per process while its
+    margin stays in the memo. The kernels are elementwise, so a value does not
+    depend on which call filled its cell.
+    """
+    global _memo_cells
+    key = (n_true, n_false, fisher_mode)
+    with _memo_lock:
+        entry = _memo.pop(key, None)
+        if entry is None:
+            size = (n_true + 1) * (n_false + 1)
+            entry = np.zeros(size, dtype=bool), np.zeros((4, size))
+            _memo_cells += size
+        _memo[key] = filled, values = entry
+        todo = np.flatnonzero((np.bincount(cell, minlength=filled.size) > 0) & ~filled)
+        if todo.size:
+            ta, tb = np.divmod(todo, n_false + 1)
+            tc, td = n_true - ta, n_false - tb
+            if fisher_mode == "two_sided":
+                p = stats.fisher_two_sided_prob_array(ta, tb, tc, td)
+            else:
+                p = stats.fisher_point_prob_array(ta, tb, tc, td)
+            values[:, todo] = (p, stats.fisher_score_array(p), stats.info_gain_array(ta, tb, tc, td),
+                               frequency.cohen_h_array(ta, tb, tc, td))
+            filled[todo] = True
+        while _memo_cells > _MEMO_CELLS:
+            _memo_cells -= _memo.popitem(last=False)[1][0].size
+        return values[:, cell]
 
 
 def _tf_scores(tf: np.ndarray, len_side: float, len_avg: float, config: KtaeConfig) -> np.ndarray:

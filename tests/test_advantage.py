@@ -1,4 +1,7 @@
 import math
+import threading
+from collections import OrderedDict
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from ktae import (
     grpo_advantages,
     validate_group,
 )
-from ktae import core, frequency, stats
+from ktae import advantage, core, frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid_shift
 from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
@@ -24,6 +27,18 @@ from ktae.synth import SynthSpec, generate
 from conftest import at_one, rollout_groups
 
 SQRT3 = math.sqrt(3.0)
+
+
+def empty_memo(monkeypatch):
+    """Start the table-statistics memo empty; the old one comes back after the test."""
+    monkeypatch.setattr(advantage, "_memo", OrderedDict())
+    monkeypatch.setattr(advantage, "_memo_cells", 0)
+
+
+def matrix_bytes(matrix):
+    """Every array of an AdvantageMatrix, as bytes."""
+    return [matrix.rollout_advantages.tobytes(), *(row.tobytes() for row in matrix.token_advantages),
+            *(getattr(matrix.token_stats, f.name).tobytes() for f in fields(matrix.token_stats))]
 
 
 def binary_group(flags, token_lists, group_id="g"):
@@ -398,9 +413,14 @@ class TestWorkCount:
                           planted_positive=(51,), planted_negative=(52,), planted_neutral=(53,)),
     }
 
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        empty_memo(monkeypatch)
+
     @pytest.mark.parametrize("shape", sorted(GROUPS))
     @pytest.mark.parametrize("fisher_mode", ["point", "two_sided"])
     def test_kernels_see_one_row_per_table(self, monkeypatch, shape, fisher_mode):
+        """A cold call evaluates each table once; a warm call on the same group evaluates none."""
         group = validate_group(next(iter(generate(self.GROUPS[shape]))))
         rows = []
         for name in ("fisher_point_prob_array", "fisher_two_sided_prob_array", "info_gain_array"):
@@ -415,3 +435,109 @@ class TestWorkCount:
         tables = len(set(zip(s.a.tolist(), s.b.tolist())))
         assert len(s) > tables  # the shape must share tables between tokens
         assert rows and max(rows) <= tables
+        rows.clear()
+        compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
+        assert rows == []
+
+
+@st.composite
+def margin_mates(draw):
+    """A group and 1-3 other groups with the same rewards and threshold, so
+    with the same margins (n_T, n_F), over ids drawn from the group's own."""
+    group = draw(kernel_groups())
+    ids = st.sampled_from(sorted(set(group.token_ids.tolist())) + [7])
+    mates = [
+        validate_group(RolloutGroup(f"m{i}", tuple(
+            Rollout(tokens=tuple(draw(st.lists(ids, min_size=1, max_size=24))), reward=r.reward)
+            for r in group.rollouts
+        ), correctness_threshold=group.correctness_threshold))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    return group, mates
+
+
+class TestMemo:
+    """Table statistics are memoized per margin; no value may depend on what
+    the memo held before the call."""
+
+    @given(margin_mates(), st.sampled_from(["point", "two_sided"]),
+           st.floats(0.0, 4.0, allow_nan=False), st.floats(0.0, 4.0, allow_nan=False))
+    @example((binary_group([True, True], [(1, 2), (1, 3)]), [binary_group([True, True], [(2,), (4, 1)])]),
+             "point", 0.3, 1.7)  # degenerate: no incorrect side
+    @example((binary_group([False] * 3, [(1,), (2,), (1, 2)]), [binary_group([False] * 3, [(2,), (2,), (5,)])]),
+             "two_sided", 1.0, 2.0)  # degenerate: no correct side
+    @settings(max_examples=100, deadline=None)
+    def test_warm_memo_gives_the_cold_bytes(self, mates, fisher_mode, h1, h2):
+        group, others = mates
+        config = KtaeConfig(fisher_mode=fisher_mode, h1=h1, h2=h2)
+        with pytest.MonkeyPatch.context() as mp:
+            empty_memo(mp)
+            cold = compute_advantages(group, config)
+            empty_memo(mp)
+            for other in others:
+                compute_advantages(other, config)
+            assert (group.num_correct, group.size - group.num_correct, fisher_mode) in advantage._memo
+            warm = compute_advantages(group, config)
+        assert matrix_bytes(warm) == matrix_bytes(cold)
+        assert (advantage_record_line("k", warm, include_stats=True)
+                == advantage_record_line("k", cold, include_stats=True))
+
+    def test_returned_columns_do_not_alias_the_memo(self, monkeypatch):
+        empty_memo(monkeypatch)
+        s = compute_advantages(binary_group([True, False], [(1, 2), (2, 3)])).token_stats
+        (filled, values), = advantage._memo.values()
+        for name in ("fisher_p", "fisher_score", "info_gain", "direction", "key_token_value"):
+            assert not np.shares_memory(getattr(s, name), values), name
+
+    def test_cells_held_stay_within_the_budget(self, monkeypatch):
+        empty_memo(monkeypatch)
+        budget = 200
+        monkeypatch.setattr(advantage, "_MEMO_CELLS", budget)
+        first = binary_group([True] * 3 + [False] * 3, [(1, 2), (2, 3), (3,), (1, 4), (4, 5), (2, 5)])
+        expected = matrix_bytes(compute_advantages(first))
+        assert (3, 3, "point") in advantage._memo
+        for g in range(2, 24):  # margins (n_T, n_F) with up to 12 * 13 cells each
+            group = binary_group([i % 2 == 0 for i in range(g)], [(i % 5, i % 3 + 7) for i in range(g)])
+            for fisher_mode in ("point", "two_sided"):
+                compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
+                held = sum(filled.size for filled, _ in advantage._memo.values())
+                assert held == advantage._memo_cells <= budget
+        assert (3, 3, "point") not in advantage._memo  # evicted, so recomputed below
+        assert matrix_bytes(compute_advantages(first)) == expected
+
+    def test_a_margin_over_the_budget_is_not_held(self, monkeypatch):
+        group = binary_group([True] * 8 + [False] * 8, [(i, i % 4, 99) for i in range(16)])
+        empty_memo(monkeypatch)
+        expected = matrix_bytes(compute_advantages(group))
+        empty_memo(monkeypatch)
+        monkeypatch.setattr(advantage, "_MEMO_CELLS", 80)  # the (8, 8) lattice has 81 cells
+        for _ in range(2):
+            assert matrix_bytes(compute_advantages(group)) == expected
+            assert not advantage._memo and advantage._memo_cells == 0
+
+    def test_concurrent_calls_give_the_serial_bytes(self, monkeypatch):
+        jobs = [
+            (validate_group(group), KtaeConfig(fisher_mode=fisher_mode))
+            for g, share in ((2, 0.5), (6, 0.34), (16, 0.75), (33, 0.5))
+            for group in generate(SynthSpec(seed=g, num_groups=3, group_size=g, correct_fraction=share,
+                                            base_vocab=40, rollout_len_range=(4, 30)))
+            for fisher_mode in ("point", "two_sided")
+        ]
+        empty_memo(monkeypatch)
+        serial = [matrix_bytes(compute_advantages(*job)) for job in jobs]
+        empty_memo(monkeypatch)
+        results = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(t):
+            start.wait()
+            order = jobs[t:] + jobs[:t]  # each thread starts on a different margin
+            results[t] = [matrix_bytes(compute_advantages(*job)) for job in order]
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for t, got in enumerate(results):
+            assert got == serial[t:] + serial[:t], t
