@@ -43,7 +43,6 @@ DELTA_MAX = math.nextafter(0.5, 0.0)
 # table; whole margins are evicted least recently used past the cell budget.
 _MEMO_CELLS = 1 << 18
 _memo: OrderedDict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_memo_cells = 0
 _memo_lock = threading.Lock()
 
 
@@ -186,15 +185,18 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) 
     margin stays in the memo. The kernels are elementwise, so a value does not
     depend on which call filled its cell.
     """
-    global _memo_cells
     key = (n_true, n_false, fisher_mode)
     with _memo_lock:
         entry = _memo.pop(key, None)
         if entry is None:
             size = (n_true + 1) * (n_false + 1)
             entry = np.zeros(size, dtype=bool), np.zeros((4, size))
-            _memo_cells += size
-        _memo[key] = filled, values = entry
+            held = sum(filled.size for filled, _ in _memo.values())
+            while _memo and held + size > _MEMO_CELLS:
+                held -= _memo.popitem(last=False)[1][0].size
+        filled, values = entry
+        if filled.size <= _MEMO_CELLS:  # a margin over the whole budget is evaluated, not held
+            _memo[key] = entry
         todo = np.flatnonzero((np.bincount(cell, minlength=filled.size) > 0) & ~filled)
         if todo.size:
             ta, tb = np.divmod(todo, n_false + 1)
@@ -206,8 +208,6 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) 
             values[:, todo] = (p, stats.fisher_score_array(p), stats.info_gain_array(ta, tb, tc, td),
                                frequency.cohen_h_array(ta, tb, tc, td))
             filled[todo] = True
-        while _memo_cells > _MEMO_CELLS:
-            _memo_cells -= _memo.popitem(last=False)[1][0].size
         return values[:, cell]
 
 

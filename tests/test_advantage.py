@@ -32,7 +32,6 @@ SQRT3 = math.sqrt(3.0)
 def empty_memo(monkeypatch):
     """Start the table-statistics memo empty; the old one comes back after the test."""
     monkeypatch.setattr(advantage, "_memo", OrderedDict())
-    monkeypatch.setattr(advantage, "_memo_cells", 0)
 
 
 def matrix_bytes(matrix):
@@ -501,7 +500,7 @@ class TestMemo:
             for fisher_mode in ("point", "two_sided"):
                 compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
                 held = sum(filled.size for filled, _ in advantage._memo.values())
-                assert held == advantage._memo_cells <= budget
+                assert held <= budget
         assert (3, 3, "point") not in advantage._memo  # evicted, so recomputed below
         assert matrix_bytes(compute_advantages(first)) == expected
 
@@ -513,7 +512,7 @@ class TestMemo:
         monkeypatch.setattr(advantage, "_MEMO_CELLS", 80)  # the (8, 8) lattice has 81 cells
         for _ in range(2):
             assert matrix_bytes(compute_advantages(group)) == expected
-            assert not advantage._memo and advantage._memo_cells == 0
+            assert not advantage._memo
 
     def test_concurrent_calls_give_the_serial_bytes(self, monkeypatch):
         jobs = [
