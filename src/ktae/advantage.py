@@ -41,6 +41,7 @@ DELTA_MAX = math.nextafter(0.5, 0.0)
 
 # Table statistics per margin (n_T, n_F, fisher_mode), one lattice cell per
 # table; whole margins are evicted least recently used past the cell budget.
+# A margin holds 4 bytes per lattice cell and 32 per cell evaluated.
 _MEMO_CELLS = 1 << 18
 _memo: OrderedDict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _memo_lock = threading.Lock()
@@ -189,26 +190,32 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) 
     with _memo_lock:
         entry = _memo.pop(key, None)
         if entry is None:
+            # slot[cell] is the cell's column in values; column 0 stands for
+            # "not evaluated yet". Only evaluated cells take value memory, so
+            # a cold call touches few fresh pages.
             size = (n_true + 1) * (n_false + 1)
-            entry = np.zeros(size, dtype=bool), np.zeros((4, size))
-            held = sum(filled.size for filled, _ in _memo.values())
+            entry = np.zeros(size, dtype=np.int32), np.zeros((4, 1))
+            held = sum(slot.size for slot, _ in _memo.values())
             while _memo and held + size > _MEMO_CELLS:
                 held -= _memo.popitem(last=False)[1][0].size
-        filled, values = entry
-        if filled.size <= _MEMO_CELLS:  # a margin over the whole budget is evaluated, not held
-            _memo[key] = entry
-        todo = np.flatnonzero((np.bincount(cell, minlength=filled.size) > 0) & ~filled)
-        if todo.size:
+        slot, values = entry
+        index = slot[cell]
+        missing = index == 0
+        if missing.any():
+            todo = np.unique(cell[missing])
             ta, tb = np.divmod(todo, n_false + 1)
             tc, td = n_true - ta, n_false - tb
             if fisher_mode == "two_sided":
                 p = stats.fisher_two_sided_prob_array(ta, tb, tc, td)
             else:
                 p = stats.fisher_point_prob_array(ta, tb, tc, td)
-            values[:, todo] = (p, stats.fisher_score_array(p), stats.info_gain_array(ta, tb, tc, td),
-                               frequency.cohen_h_array(ta, tb, tc, td))
-            filled[todo] = True
-        return values[:, cell]
+            slot[todo] = np.arange(values.shape[1], values.shape[1] + todo.size)
+            values = np.concatenate((values, (p, stats.fisher_score_array(p), stats.info_gain_array(ta, tb, tc, td),
+                                              frequency.cohen_h_array(ta, tb, tc, td))), axis=1)
+            index = slot[cell]
+        if slot.size <= _MEMO_CELLS:  # a margin over the whole budget is evaluated, not held
+            _memo[key] = slot, values
+        return values[:, index]
 
 
 def _tf_scores(tf: np.ndarray, len_side: float, len_avg: float, config: KtaeConfig) -> np.ndarray:

@@ -473,18 +473,20 @@ class TestMemo:
             empty_memo(mp)
             cold = compute_advantages(group, config)
             empty_memo(mp)
-            for other in others:
-                compute_advantages(other, config)
-            assert (group.num_correct, group.size - group.num_correct, fisher_mode) in advantage._memo
+            for other in others:  # the other Fisher mode's margin too, and other weights
+                for fill in (config, KtaeConfig(fisher_mode=({"point", "two_sided"} - {fisher_mode}).pop())):
+                    compute_advantages(other, fill)
+            warmed = (group.num_correct, group.size - group.num_correct, fisher_mode) in advantage._memo
             warm = compute_advantages(group, config)
         assert matrix_bytes(warm) == matrix_bytes(cold)
         assert (advantage_record_line("k", warm, include_stats=True)
                 == advantage_record_line("k", cold, include_stats=True))
+        assert warmed
 
     def test_returned_columns_do_not_alias_the_memo(self, monkeypatch):
         empty_memo(monkeypatch)
         s = compute_advantages(binary_group([True, False], [(1, 2), (2, 3)])).token_stats
-        (filled, values), = advantage._memo.values()
+        (slot, values), = advantage._memo.values()
         for name in ("fisher_p", "fisher_score", "info_gain", "direction", "key_token_value"):
             assert not np.shares_memory(getattr(s, name), values), name
 
@@ -499,7 +501,7 @@ class TestMemo:
             group = binary_group([i % 2 == 0 for i in range(g)], [(i % 5, i % 3 + 7) for i in range(g)])
             for fisher_mode in ("point", "two_sided"):
                 compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
-                held = sum(filled.size for filled, _ in advantage._memo.values())
+                held = sum(slot.size for slot, _ in advantage._memo.values())
                 assert held <= budget
         assert (3, 3, "point") not in advantage._memo  # evicted, so recomputed below
         assert matrix_bytes(compute_advantages(first)) == expected
