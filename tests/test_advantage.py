@@ -474,7 +474,7 @@ class TestMemo:
             cold = compute_advantages(group, config)
             empty_memo(mp)
             for other in others:  # the other Fisher mode's margin too, and other weights
-                for fill in (config, KtaeConfig(fisher_mode=({"point", "two_sided"} - {fisher_mode}).pop())):
+                for fill in (config, KtaeConfig(fisher_mode="point" if fisher_mode == "two_sided" else "two_sided")):
                     compute_advantages(other, fill)
             warmed = (group.num_correct, group.size - group.num_correct, fisher_mode) in advantage._memo
             warm = compute_advantages(group, config)
