@@ -26,7 +26,6 @@ from .core import (
     Rollout,
     RolloutGroup,
     TokenStats,
-    validate_group,
 )
 from .synth import SynthSpec, generate, recovery_report
 
@@ -51,5 +50,4 @@ __all__ = [
     "grpo_advantages",
     "recovery_report",
     "sigmoid_shift",
-    "validate_group",
 ]

@@ -32,7 +32,6 @@ from .core import (
     KtaeConfig,
     RolloutGroup,
     TokenStatsColumns,
-    validate_group,
 )
 
 # Largest magnitude a delta may take: the predecessor of 0.5, so the strict
@@ -125,6 +124,7 @@ def _count_occurrences(group: RolloutGroup, sizes: list[int]):
 def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) -> AdvantageMatrix:
     """Run the full pipeline for one group and return the advantage matrix.
 
+    The group checked its rules when it was built, so none is checked here.
     Token ids are processed in sorted order. What depends only on a token's
     contingency table (Fisher probability and score, information gain,
     Cohen's h) is computed once per margin cell per process, the frequency
@@ -136,7 +136,6 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     zero and the token advantages equal the rollout baseline.
     """
     config = config if config is not None else KtaeConfig()
-    group = validate_group(group)
     baseline = grpo_advantages([r.reward for r in group.rollouts], config.std_epsilon)
     if config.degenerate_policy == "error" and not dapo_admissible(group):
         raise DegenerateGroup(

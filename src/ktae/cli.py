@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .advantage import compute_advantages
-from .core import ConfigError, KtaeConfig, KtaeError, validate_group
+from .core import ConfigError, KtaeConfig, KtaeError
 from .heatmap import UnknownGroup, render_group_html
 from .oracle import MAX_EXACT_N, compare_fast_vs_exact
 from .records import (
@@ -100,8 +100,8 @@ def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool
     """Worker: one numbered input line to (output line, None) or (None, diagnostic)."""
     lineno, line = item
     try:
-        group = parse_group_record(_check_utf8(line))
-        matrix = compute_advantages(group, config)  # validates the group
+        group = parse_group_record(_check_utf8(line))  # checks the group rules
+        matrix = compute_advantages(group, config)
         return advantage_record_line(group.group_id, matrix, include_stats), None
     except KtaeError as exc:
         return None, f"line {lineno}: {type(exc).__name__}: {exc}"
@@ -175,7 +175,7 @@ def _find_record(path: str, wanted_id: str, parse, describe: str):
 def cmd_visualize(args: argparse.Namespace) -> int:
     group = _find_record(args.input, args.group, parse_group_record, "group records")
     record = _find_record(args.advantages, args.group, parse_advantage_record, "advantage records")
-    document = render_group_html(validate_group(group), record)
+    document = render_group_html(group, record)
     Path(args.output).write_text(document, encoding="utf-8")
     print(f"wrote {args.output}")
     return 0

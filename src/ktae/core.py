@@ -3,8 +3,8 @@
 A rollout group bundles the G reward-labeled token sequences sampled for one
 prompt. Correctness is derived from each reward by a strict threshold
 (reward > threshold means correct), which reduces to the usual binary case
-for {0, 1} rewards. All types are immutable after validation and safe to
-share across workers.
+for {0, 1} rewards. A group checks its rules when it is built; all types
+are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class Rollout:
 
 @dataclass(frozen=True)
 class RolloutGroup:
-    """The unit of computation: all rollouts sampled for one prompt."""
+    """The unit of computation: all rollouts sampled for one prompt. Building
+    one checks the group rules (validate_group), so every group is valid."""
 
     group_id: str
     rollouts: tuple[Rollout, ...]
@@ -76,6 +77,7 @@ class RolloutGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rollouts", tuple(self.rollouts))
+        validate_group(self)
 
     @property
     def size(self) -> int:
@@ -84,8 +86,7 @@ class RolloutGroup:
     @cached_property
     def token_ids(self) -> np.ndarray:
         """Every rollout's token ids, concatenated in order, as one read-only
-        int64 array. Raises TypeError or OverflowError for an id that is not
-        an integer within int64; validate_group words those."""
+        int64 array, built once while the constructor checks the ids."""
         ids = array.array("q", list(itertools.chain.from_iterable(r.tokens for r in self.rollouts)))
         column = np.frombuffer(ids, dtype=np.int64)
         column.flags.writeable = False
@@ -258,8 +259,8 @@ class AdvantageMatrix:
 
 
 def validate_group(group: RolloutGroup) -> RolloutGroup:
-    """Check all group invariants and warm the correctness partition and the
-    token-id column.
+    """Check the group rules and warm the correctness partition and the
+    token-id column; RolloutGroup's constructor calls this on every group.
 
     Returns the same (immutable) group on success so call sites can chain.
     """
@@ -269,6 +270,8 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
     if not _is_finite_number(threshold):
         raise InvalidGroup(f"group {group.group_id!r}: correctness_threshold {threshold!r} is not a finite number")
     for i, rollout in enumerate(group.rollouts):
+        if not isinstance(rollout, Rollout):
+            raise InvalidGroup(f"group {group.group_id!r}: rollout {i} is not a Rollout")
         if len(rollout.tokens) == 0:
             raise InvalidGroup(f"group {group.group_id!r}: rollout {i} has no tokens")
         if rollout.texts is not None and len(rollout.texts) != len(rollout.tokens):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContingencyTable, DomainError, KtaeConfig, RolloutGroup, TokenStats, validate_group
+from .core import ContingencyTable, DomainError, KtaeConfig, RolloutGroup, TokenStats
 
 # Largest table total compare_fast_vs_exact sweeps: its cost grows as N^4
 # (814k tables at 64). A single table takes any total.
@@ -116,7 +116,6 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
     go through the same math, as under degenerate_policy="zeros".
     """
     config = config if config is not None else KtaeConfig()
-    group = validate_group(group)
     rewards = [r.reward for r in group.rollouts]
     mean = math.fsum(rewards) / len(rewards)
     std = math.sqrt(math.fsum((r - mean) ** 2 for r in rewards) / len(rewards))

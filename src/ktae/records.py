@@ -61,7 +61,7 @@ def _parse_json_line(line: str) -> dict:
 
 
 def parse_group_record(line: str) -> RolloutGroup:
-    """Parse one group line into a RolloutGroup (not yet validated)."""
+    """Parse one group line: RecordError if malformed, InvalidGroup if it breaks a group rule."""
     obj = _parse_json_line(line)
     group_id = obj.get("group_id")
     _require(isinstance(group_id, str), "group_id must be a string")

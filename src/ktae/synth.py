@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .advantage import compute_advantages
-from .core import MAX_TOKEN_ID, ConfigError, KtaeConfig, Rollout, RolloutGroup, validate_group
+from .core import MAX_TOKEN_ID, ConfigError, KtaeConfig, Rollout, RolloutGroup
 
 
 _PLANTS = ("planted_positive", "planted_negative", "planted_neutral")
@@ -121,7 +121,7 @@ def generate(spec: SynthSpec) -> list[RolloutGroup]:
                     texts=tuple(f"t{t}" for t in tokens),
                 )
             )
-        groups.append(validate_group(RolloutGroup(group_id=f"synth-{g:04d}", rollouts=tuple(rollouts))))
+        groups.append(RolloutGroup(group_id=f"synth-{g:04d}", rollouts=tuple(rollouts)))
     return groups
 
 

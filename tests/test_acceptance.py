@@ -19,7 +19,6 @@ from ktae import (
     dapo_admissible,
     generate,
     recovery_report,
-    validate_group,
 )
 from ktae.cli import main
 from ktae.frequency import cohen_h_array, frequency_term_array
@@ -89,7 +88,7 @@ def test_criterion_05_bounded_perturbation():
     with criterion(5, "bounded deltas, identical per token id, 10,000 groups"):
         rng = np.random.default_rng(77)
         for i in range(10_000):
-            group = validate_group(random_group(rng, f"r{i}"))
+            group = random_group(rng, f"r{i}")
             matrix = compute_advantages(group)
             per_token: dict[int, float] = {}
             for rollout, row, base in zip(group.rollouts, matrix.token_advantages, matrix.rollout_advantages):
@@ -105,7 +104,7 @@ def test_criterion_06_neutral_token_neutrality():
         rollouts = tuple(
             Rollout(tokens=(42, 100 + i), reward=float(i < 3)) for i in range(5)
         )
-        matrix = compute_advantages(validate_group(RolloutGroup("neutral", rollouts)))
+        matrix = compute_advantages(RolloutGroup("neutral", rollouts))
         assert matrix.token_stats[42].table.c == 0
         assert matrix.token_stats[42].table.d == 0
         for row, base in zip(matrix.token_advantages, matrix.rollout_advantages):
@@ -114,7 +113,7 @@ def test_criterion_06_neutral_token_neutrality():
         # and scanning random groups for every c = d = 0 token
         rng = np.random.default_rng(11)
         for i in range(200):
-            group = validate_group(random_group(rng, f"n{i}", vocab=5))
+            group = random_group(rng, f"n{i}", vocab=5)
             matrix = compute_advantages(group)
             for token, stats in matrix.token_stats.items():
                 if stats.table.c == 0 and stats.table.d == 0:
@@ -144,7 +143,7 @@ def test_criterion_08_degenerate_handling():
     with criterion(8, "uniform-outcome groups are inert and inadmissible"):
         for reward in (1.0, 0.0):
             rollouts = tuple(Rollout(tokens=(1, 2, 3 + i), reward=reward) for i in range(6))
-            group = validate_group(RolloutGroup(f"all-{reward:g}", rollouts))
+            group = RolloutGroup(f"all-{reward:g}", rollouts)
             assert not dapo_admissible(group)
             matrix = compute_advantages(group, KtaeConfig(degenerate_policy="zeros"))
             assert np.all(matrix.rollout_advantages == 0.0)
@@ -159,7 +158,7 @@ def test_criterion_09_determinism_and_throughput(tmp_path):
             Rollout(tokens=tuple(rng.integers(0, 50_000, size=1024).tolist()), reward=float(i < 12))
             for i in range(16)
         )
-        group = validate_group(RolloutGroup("wide", rollouts))
+        group = RolloutGroup("wide", rollouts)
         best = min(_timed(lambda: compute_advantages(group)) for _ in range(3))
         assert best < 0.100, f"G=16 x 1024 tokens took {best * 1e3:.1f} ms"
 

@@ -17,7 +17,6 @@ from ktae import (
     compute_advantages,
     dapo_admissible,
     grpo_advantages,
-    validate_group,
 )
 from ktae import advantage, core, frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid_shift
@@ -45,7 +44,7 @@ def binary_group(flags, token_lists, group_id="g"):
         Rollout(tokens=tuple(tokens), reward=1.0 if flag else 0.0)
         for flag, tokens in zip(flags, token_lists)
     )
-    return validate_group(RolloutGroup(group_id, rollouts))
+    return RolloutGroup(group_id, rollouts)
 
 
 class TestGrpoAdvantages:
@@ -131,7 +130,7 @@ class TestKeyTokenValue:
     @given(rollout_groups())
     @settings(max_examples=100)
     def test_sign_tracks_direction_when_strength_positive(self, group):
-        s = compute_advantages(validate_group(group)).token_stats
+        s = compute_advantages(group).token_stats
         strong = 1.0 * s.fisher_score + 2.0 * s.info_gain > 0
         assert np.all(s.key_token_value[strong & (s.direction < 0)] < 0)
         assert np.all(s.key_token_value[strong & (s.direction > 0)] > 0)
@@ -214,7 +213,7 @@ class TestComputeAdvantages:
         # all correct but rewards differ: key-token-values still vanish,
         # so token advantages collapse onto the (nonzero) baseline
         rollouts = (Rollout(tokens=(1, 2), reward=0.9), Rollout(tokens=(1, 3), reward=0.7))
-        matrix = compute_advantages(validate_group(RolloutGroup("g", rollouts)))
+        matrix = compute_advantages(RolloutGroup("g", rollouts))
         assert not np.all(matrix.rollout_advantages == 0.0)
         for i, row in enumerate(matrix.token_advantages):
             assert np.all(row == matrix.rollout_advantages[i])
@@ -235,7 +234,7 @@ class TestComputeAdvantages:
 
     def test_validated_group_is_not_converted_again(self, monkeypatch):
         spec = SynthSpec(num_groups=1, group_size=8, base_vocab=50, rollout_len_range=(20, 40))
-        group = validate_group(generate(spec)[0])
+        group = generate(spec)[0]
         fresh = RolloutGroup(group.group_id, group.rollouts)
         expected = advantage_record_line(fresh.group_id, compute_advantages(fresh), include_stats=True)
 
@@ -280,7 +279,6 @@ class TestComputeAdvantages:
     @given(rollout_groups())
     @settings(max_examples=300)
     def test_bounded_perturbation_and_per_type_uniformity(self, group):
-        group = validate_group(group)
         matrix = compute_advantages(group)
         seen: dict[int, float] = {}
         for rollout, row, base in zip(group.rollouts, matrix.token_advantages, matrix.rollout_advantages):
@@ -292,12 +290,9 @@ class TestComputeAdvantages:
     @given(rollout_groups())
     @settings(max_examples=200)
     def test_reward_flip_negates_unclamped_key_token_values(self, group):
-        group = validate_group(group)
-        flipped = validate_group(
-            RolloutGroup(
-                group.group_id,
-                tuple(Rollout(tokens=r.tokens, reward=1.0 - r.reward) for r in group.rollouts),
-            )
+        flipped = RolloutGroup(
+            group.group_id,
+            tuple(Rollout(tokens=r.tokens, reward=1.0 - r.reward) for r in group.rollouts),
         )
         ours = compute_advantages(group).token_stats
         theirs = compute_advantages(flipped).token_stats
@@ -357,7 +352,7 @@ def kernel_groups(draw):
         for _ in range(g)
     )
     threshold = draw(st.floats(-0.5, 1.5, allow_nan=False)) if graded else 0.5
-    return validate_group(RolloutGroup("k", rollouts, correctness_threshold=threshold))
+    return RolloutGroup("k", rollouts, correctness_threshold=threshold)
 
 
 def mean_lengths(group):
@@ -420,7 +415,7 @@ class TestWorkCount:
     @pytest.mark.parametrize("fisher_mode", ["point", "two_sided"])
     def test_kernels_see_one_row_per_table(self, monkeypatch, shape, fisher_mode):
         """A cold call evaluates each table once; a warm call on the same group evaluates none."""
-        group = validate_group(next(iter(generate(self.GROUPS[shape]))))
+        group = next(iter(generate(self.GROUPS[shape])))
         rows = []
         for name in ("fisher_point_prob_array", "fisher_two_sided_prob_array", "info_gain_array"):
             kernel = getattr(stats, name)
@@ -446,10 +441,10 @@ def margin_mates(draw):
     group = draw(kernel_groups())
     ids = st.sampled_from(sorted(set(group.token_ids.tolist())) + [7])
     mates = [
-        validate_group(RolloutGroup(f"m{i}", tuple(
+        RolloutGroup(f"m{i}", tuple(
             Rollout(tokens=tuple(draw(st.lists(ids, min_size=1, max_size=24))), reward=r.reward)
             for r in group.rollouts
-        ), correctness_threshold=group.correctness_threshold))
+        ), correctness_threshold=group.correctness_threshold)
         for i in range(draw(st.integers(1, 3)))
     ]
     return group, mates
@@ -518,7 +513,7 @@ class TestMemo:
 
     def test_concurrent_calls_give_the_serial_bytes(self, monkeypatch):
         jobs = [
-            (validate_group(group), KtaeConfig(fisher_mode=fisher_mode))
+            (group, KtaeConfig(fisher_mode=fisher_mode))
             for g, share in ((2, 0.5), (6, 0.34), (16, 0.75), (33, 0.5))
             for group in generate(SynthSpec(seed=g, num_groups=3, group_size=g, correct_fraction=share,
                                             base_vocab=40, rollout_len_range=(4, 30)))

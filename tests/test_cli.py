@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ktae.cli as cli
-from ktae import ConfigError, ContingencyTable, KtaeConfig
+from ktae import ConfigError, ContingencyTable, KtaeConfig, RolloutGroup
 from ktae.cli import _process_line, main
 from ktae.records import group_record_line, load_flat_mapping, parse_advantage_record
 from ktae.synth import SynthSpec, generate
@@ -321,6 +321,25 @@ class TestCompute:
         assert main(["compute", "--input", str(tmp_path / "absent.jsonl"), "--output", str(out)]) == 1
         assert "absent.jsonl" in capsys.readouterr().err
 
+    def test_each_line_calls_the_stages_through_the_cli_module_names(self, batch, tmp_path, monkeypatch):
+        # perfbench's tracer times a CLI run by wrapping exactly these names.
+        calls = {"parse_group_record": [], "compute_advantages": [], "advantage_record_line": []}
+        for name, seen in calls.items():
+            original = getattr(cli, name)
+
+            def recorder(*args, _original=original, _seen=seen, **kwargs):
+                _seen.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recorder)
+        src = tmp_path / "three.jsonl"
+        src.write_text("\n".join(read_lines(batch)[:3]) + "\n")
+        assert main(["compute", "--input", str(src), "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 3)
+        groups = [args[0] for args in calls["compute_advantages"]]
+        assert all(isinstance(group, RolloutGroup) for group in groups)
+        assert [group.group_id for group in groups] == [args[0] for args in calls["advantage_record_line"]]
+
 
 class TestOutputNamingAnInput:
     FLAGS = {
@@ -479,6 +498,16 @@ class TestVisualize:
         code, _ = self.render(tmp_path, src, "plain")
         assert code == 1
         assert "error: InvalidGroup: group 'plain' carries no display texts" in capsys.readouterr().err
+
+    def test_invalid_group_names_its_line(self, batch, tmp_path, capsys):
+        tiny = json.dumps({"group_id": "tiny", "rollouts": [{"tokens": [1], "reward": 1.0, "texts": ["a"]}]})
+        src = tmp_path / "in.jsonl"
+        src.write_text(tiny + "\n" + batch.read_text())
+        code, path = self.render(tmp_path, src, "synth-0000")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: InvalidGroup: {src} line 1: group 'tiny' has 1 rollout(s); need at least 2"
+        assert not path.exists()
 
 
 class TestBench:

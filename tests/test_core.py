@@ -14,8 +14,12 @@ from ktae import (
     KtaeConfig,
     Rollout,
     RolloutGroup,
-    validate_group,
+    compute_advantages,
 )
+from ktae import core
+from ktae.core import validate_group
+from ktae.oracle import reference_advantages
+from ktae.records import advantage_record_line
 
 from conftest import rollout_groups
 
@@ -26,7 +30,7 @@ def make_group(rewards, length=3, threshold=0.5):
 
 
 def test_validate_partitions_binary_group():
-    group = validate_group(make_group([1.0] * 9 + [0.0] * 7))
+    group = make_group([1.0] * 9 + [0.0] * 7)
     assert group.size == 16
     assert group.num_correct == 9
     assert group.correct_mask == (True,) * 9 + (False,) * 7
@@ -34,81 +38,95 @@ def test_validate_partitions_binary_group():
 
 def test_validate_rejects_single_rollout():
     with pytest.raises(InvalidGroup, match=r"has 1 rollout\(s\); need at least 2"):
-        validate_group(make_group([1.0]))
+        make_group([1.0])
 
 
 def test_validate_rejects_empty_tokens():
-    group = RolloutGroup("g", (Rollout(tokens=(), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidGroup, match="rollout 0 has no tokens"):
-        validate_group(group)
+        RolloutGroup("g", (Rollout(tokens=(), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
 
 
 def test_validate_rejects_texts_length_mismatch():
     bad = Rollout(tokens=(1, 2, 3), reward=1.0, texts=("a", "b"))
-    group = RolloutGroup("g", (bad, Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidGroup, match="rollout 0 has 2 texts for 3 tokens"):
-        validate_group(group)
+        RolloutGroup("g", (bad, Rollout(tokens=(1,), reward=0.0)))
 
 
 def test_validate_rejects_negative_token():
-    group = RolloutGroup("g", (Rollout(tokens=(1, -2), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidGroup, match="rollout 0 contains a negative token id"):
-        validate_group(group)
+        RolloutGroup("g", (Rollout(tokens=(1, -2), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
 
 
 def test_validate_bounds_token_ids_to_int64():
     top = 2**63 - 1
     ok = RolloutGroup("g", (Rollout(tokens=(top,), reward=1.0), Rollout(tokens=(0,), reward=0.0)))
     assert validate_group(ok) is ok
-    bad = RolloutGroup("g", (Rollout(tokens=(1, top + 1), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidGroup, match=f"rollout 0 contains a token id above {top}"):
-        validate_group(bad)
+        RolloutGroup("g", (Rollout(tokens=(1, top + 1), reward=1.0), Rollout(tokens=(1,), reward=0.0)))
 
 
 @pytest.mark.parametrize("bad", [(1.5, 2.7, 3), (1, 2.0), (1, "2"), (None,), ((1, 2), 3), ([1], [2])])
 def test_validate_rejects_non_integer_token_ids(bad):
-    group = RolloutGroup("g", (Rollout(tokens=(1, 2, 3), reward=1.0), Rollout(tokens=bad, reward=0.0)))
     with pytest.raises(InvalidGroup, match="rollout 1 contains a non-integer token id"):
-        validate_group(group)
+        RolloutGroup("g", (Rollout(tokens=(1, 2, 3), reward=1.0), Rollout(tokens=bad, reward=0.0)))
 
 
 def test_validate_keeps_the_first_bad_rollouts_message():
     rollouts = (Rollout(tokens=(1, -2), reward=1.0), Rollout(tokens=(1.5,), reward=0.0))
     with pytest.raises(InvalidGroup, match="rollout 0 contains a negative token id"):
-        validate_group(RolloutGroup("g", rollouts))
+        RolloutGroup("g", rollouts)
     rollouts = (Rollout(tokens=(1,), reward=1.0), Rollout(tokens=(2**64, -1), reward=0.0))
     with pytest.raises(InvalidGroup, match="rollout 1 contains a negative token id"):
-        validate_group(RolloutGroup("g", rollouts))
+        RolloutGroup("g", rollouts)
 
 
 @pytest.mark.parametrize("reward", [True, "1.0", None, math.nan, math.inf,
                                     pytest.param(10**400, id="int-beyond-float64")])
 def test_validate_rejects_non_finite_reward(reward):
-    group = RolloutGroup("g", (Rollout(tokens=(1,), reward=reward), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidGroup, match=f"rollout 0 reward {re.escape(repr(reward))} is not a finite number$"):
-        validate_group(group)
+        RolloutGroup("g", (Rollout(tokens=(1,), reward=reward), Rollout(tokens=(1,), reward=0.0)))
 
 
 def test_validate_rejects_an_integer_reward_beyond_float64():
-    group = RolloutGroup("g", (Rollout(tokens=(1,), reward=10**400), Rollout(tokens=(1,), reward=0.0)))
     with pytest.raises(InvalidGroup, match="rollout 0 reward .* is not a finite number"):
-        validate_group(group)
+        RolloutGroup("g", (Rollout(tokens=(1,), reward=10**400), Rollout(tokens=(1,), reward=0.0)))
 
 
 @pytest.mark.parametrize("threshold", [True, False, math.inf, math.nan, "0.5", None,
                                        pytest.param(10**400, id="int-beyond-float64")])
 def test_validate_rejects_a_threshold_that_is_not_a_finite_number(threshold):
     with pytest.raises(InvalidGroup, match="correctness_threshold .* is not a finite number"):
-        validate_group(make_group([1.0, 0.0], threshold=threshold))
+        make_group([1.0, 0.0], threshold=threshold)
 
 
 @given(rollout_groups(graded=True), st.floats(-1.0, 2.0, allow_nan=False))
 def test_partition_is_exhaustive_for_any_threshold(group, threshold):
     group = dataclasses.replace(group, correctness_threshold=threshold)
-    validate_group(group)
     for rollout, is_correct in zip(group.rollouts, group.correct_mask):
         assert is_correct == (rollout.reward > threshold)
     assert group.num_correct == sum(group.correct_mask)
+
+
+def test_rejects_a_rollout_that_is_not_a_rollout():
+    with pytest.raises(InvalidGroup, match="^group 'g': rollout 0 is not a Rollout$"):
+        RolloutGroup("g", ({"tokens": [1], "reward": 1.0}, Rollout((1,), 0.0)))
+    with pytest.raises(InvalidGroup, match="^group 'g': rollout 1 is not a Rollout$"):
+        RolloutGroup("g", (Rollout((1,), 1.0), (1,)))
+
+
+def test_a_built_group_is_not_checked_again(monkeypatch):
+    group = RolloutGroup("g", (Rollout((1, 2, 2, 5), 1.0), Rollout((2, 3), 0.0), Rollout((1, 4, 3), 0.0)))
+    config = KtaeConfig()
+    expected = (advantage_record_line("g", compute_advantages(group, config), include_stats=True),
+                repr(reference_advantages(group, config)))
+
+    def refuse(value):
+        raise AssertionError("group rules checked again")
+
+    monkeypatch.setattr(core, "_is_finite_number", refuse)
+    actual = (advantage_record_line("g", compute_advantages(group, config), include_stats=True),
+              repr(reference_advantages(group, config)))
+    assert actual == expected
 
 
 def test_token_ids_are_one_cached_read_only_int64_column():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
-from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
 from ktae.frequency import cohen_h_array, frequency_term_array, tf_score_array
 from ktae.oracle import raw_term_frequencies
 
@@ -15,7 +15,7 @@ from conftest import at_one, contingency_tables
 def build_group(correct_tokens, incorrect_tokens):
     rollouts = [Rollout(tokens=tuple(t), reward=1.0) for t in correct_tokens]
     rollouts += [Rollout(tokens=tuple(t), reward=0.0) for t in incorrect_tokens]
-    return validate_group(RolloutGroup("g", tuple(rollouts)))
+    return RolloutGroup("g", tuple(rollouts))
 
 
 def direction_score(table, tf_score_true, tf_score_false, h3=1.0, tf_floor=1e-6):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ktae import InvalidGroup, Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae import InvalidGroup, Rollout, RolloutGroup, compute_advantages
 from ktae.advantage import sigmoid_shift
 from ktae.heatmap import _logit, render_group_html, token_values
 from ktae.records import RecordError, advantage_record_line, parse_advantage_record
@@ -18,7 +18,7 @@ def planted_group():
     rollouts = tuple(
         Rollout(tokens=toks, reward=r, texts=tuple(f"w{t}" for t in toks)) for toks, r in data
     )
-    return validate_group(RolloutGroup("demo", rollouts))
+    return RolloutGroup("demo", rollouts)
 
 
 def record_for(group, include_stats):
@@ -63,18 +63,16 @@ class TestTokenValues:
 
 class TestRenderGroupHtml:
     def test_missing_texts_is_an_error(self):
-        bare = validate_group(
-            RolloutGroup(
-                "g", (Rollout(tokens=(1, 2), reward=1.0), Rollout(tokens=(2,), reward=0.0))
-            )
+        bare = RolloutGroup(
+            "g", (Rollout(tokens=(1, 2), reward=1.0), Rollout(tokens=(2,), reward=0.0))
         )
         with pytest.raises(InvalidGroup, match="group 'g' carries no display texts"):
             render_group_html(bare, record_for(bare, True))
 
     def test_non_string_texts_are_an_error(self):
-        group = validate_group(RolloutGroup(
+        group = RolloutGroup(
             "g", (Rollout(tokens=(1, 2), reward=1.0, texts=("a", 2)), Rollout(tokens=(2,), reward=0.0, texts=("b",)))
-        ))
+        )
         with pytest.raises(InvalidGroup, match="group 'g' has a display text that is not a string"):
             render_group_html(group, record_for(group, True))
 
@@ -103,7 +101,7 @@ class TestRenderGroupHtml:
         rollouts = tuple(
             Rollout(tokens=(1, 2), reward=float(i), texts=("a", "b")) for i in range(2)
         )
-        group = validate_group(RolloutGroup("flat", rollouts))
+        group = RolloutGroup("flat", rollouts)
         document = render_group_html(group, record_for(group, True))
         spans = [s for s in parse_spans(document) if "tok" in s.get("class", "")]
         assert spans, "expected token spans"

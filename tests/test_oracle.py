@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktae import ContingencyTable as CT
-from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
 from ktae.oracle import (
     brute_force_stats,
     compare_fast_vs_exact,
@@ -82,14 +82,14 @@ class TestBruteForceStats:
             Rollout(tokens=(2, 4), reward=1.0),
             Rollout(tokens=(5, 6), reward=0.0),
         )
-        return validate_group(RolloutGroup("g", rollouts))
+        return RolloutGroup("g", rollouts)
 
     def test_absent_token(self):
         assert brute_force_stats(self.group(), 99) == CT(0, 0, 2, 1)
 
     def test_token_in_every_rollout(self):
         rollouts = tuple(Rollout(tokens=(7, i), reward=float(i < 2)) for i in range(4))
-        group = validate_group(RolloutGroup("g", rollouts))
+        group = RolloutGroup("g", rollouts)
         assert brute_force_stats(group, 7) == CT(2, 2, 0, 0)
 
     def test_presence_counts_rollouts_not_occurrences(self):
@@ -99,7 +99,6 @@ class TestBruteForceStats:
     @given(rollout_groups())
     @settings(max_examples=200)
     def test_pipeline_tables_match_naive_scans(self, group):
-        group = validate_group(group)
         matrix = compute_advantages(group)
         for token, stats in matrix.token_stats.items():
             assert stats.table == brute_force_stats(group, token)
@@ -111,7 +110,7 @@ class TestBruteForceStats:
 
         rng = np.random.default_rng(404)
         for i in range(1000):
-            group = validate_group(random_group(rng, f"bulk-{i}"))
+            group = random_group(rng, f"bulk-{i}")
             matrix = compute_advantages(group)
             for token, stats in matrix.token_stats.items():
                 assert stats.table == brute_force_stats(group, token)

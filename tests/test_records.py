@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, compute_advantages, validate_group
+from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
 from ktae.core import MAX_TOKEN_ID, AdvantageMatrix, TokenStatsColumns
 from ktae.records import (
     TOKEN_STAT_KEYS,
@@ -136,11 +136,9 @@ class TestGroupRecords:
 
 class TestAdvantageRecords:
     def matrix(self):
-        group = validate_group(
-            RolloutGroup(
-                "g",
-                (Rollout(tokens=(1, 2), reward=1.0), Rollout(tokens=(2, 3), reward=0.0)),
-            )
+        group = RolloutGroup(
+            "g",
+            (Rollout(tokens=(1, 2), reward=1.0), Rollout(tokens=(2, 3), reward=0.0)),
         )
         return group, compute_advantages(group)
 

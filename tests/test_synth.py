@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ConfigError, KtaeConfig, SynthSpec, dapo_admissible, generate, recovery_report, validate_group
+from ktae import ConfigError, KtaeConfig, SynthSpec, dapo_admissible, generate, recovery_report
+from ktae.core import validate_group
 from ktae.synth import MAX_SPEC_TOKENS
 
 SMALL = SynthSpec(num_groups=12, base_vocab=60, rollout_len_range=(10, 16))
