@@ -16,6 +16,7 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -59,14 +60,16 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = KtaeConfig.st
         raise InvalidGroup("rewards must all be finite") from None
     if arr.size < 2:
         raise InvalidGroup(f"need at least 2 rewards, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidGroup("rewards must all be finite")
     with np.errstate(over="ignore"):  # overflow is caught by the finite check below
-        mean = float(arr.mean())
-        std = float(arr.std())
+        # arr.mean() and arr.std(), the mean taken once.
+        mean = float(np.add.reduce(arr)) / arr.size
+        deviation = arr - mean
+        std = math.sqrt(float(np.add.reduce(deviation * deviation)) / arr.size)
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise InvalidGroup("reward magnitudes overflow float64 statistics")
-    if np.all(arr == arr[0]):
+    if (arr == arr[0]).all():
         advantages = np.zeros_like(arr)
     else:
         advantages = (arr - mean) / max(std, std_epsilon)
@@ -96,28 +99,22 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
 def _count_occurrences(group: RolloutGroup, sizes: list[int]):
     """Occurrence counts of every distinct token in ``group.token_ids``.
 
-    ``np.unique`` finds the distinct tokens and each position's index into
-    them; sorting the dense ``token_index * G + rollout`` keys finds each
-    (token, rollout) pair once. Returns the sorted distinct ``tokens``, each
-    position's ``rollout`` and ``token_index`` into ``tokens``, and per token
-    the rollouts containing it on the correct side (a) and the incorrect
-    side (b) and its occurrences on each side (tf_true, tf_false).
+    ``np.unique`` gives the sorted distinct ``tokens`` and each position's
+    ``token_index``. One ``np.bincount`` of the keys ``token_index * 2 + side``
+    (side 1 if incorrect) gives each token's occurrences per side (tf_true,
+    tf_false), and one of the distinct ``key * G + rollout`` pairs the rollouts
+    containing it per side (a, b). Also returns each position's ``rollout``.
     """
     tokens, token_index = np.unique(group.token_ids, return_inverse=True)
     rollout = np.repeat(np.arange(group.size), sizes)
-    correct = np.array(group.correct_mask, dtype=bool)
-    m = tokens.size
-    on_true = correct[rollout]
-    tf_true = np.bincount(token_index[on_true], minlength=m)
-    tf_false = np.bincount(token_index[~on_true], minlength=m)
-    pairs = np.sort(token_index * group.size + rollout)
+    side_key = token_index * 2 + np.logical_not(group.correct_mask)[rollout]
+    m2 = 2 * tokens.size
+    tf_true, tf_false = np.bincount(side_key, minlength=m2).reshape(-1, 2).T
+    pairs = np.sort(side_key * group.size + rollout)
     new_pair = np.empty(pairs.size, dtype=bool)
     new_pair[0] = True
     np.not_equal(pairs[1:], pairs[:-1], out=new_pair[1:])
-    pair_token, pair_rollout = np.divmod(pairs[new_pair], group.size)
-    pair_true = correct[pair_rollout]
-    a = np.bincount(pair_token[pair_true], minlength=m)
-    b = np.bincount(pair_token[~pair_true], minlength=m)
+    a, b = np.bincount(pairs[new_pair] // group.size, minlength=m2).reshape(-1, 2).T
     return tokens, rollout, token_index, a, b, tf_true, tf_false
 
 
@@ -129,28 +126,41 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     contingency table (Fisher probability and score, information gain,
     Cohen's h) is computed once per margin cell per process, the frequency
     scores once per occurrence count, and the rest once per token id; each
-    id's values are broadcast to all of its positions. A group whose
-    rollouts are all correct or all incorrect either raises DegenerateGroup
-    (degenerate_policy="error") or falls through the normal math, where
-    every table has an empty column, so every key-token-value is exactly
-    zero and the token advantages equal the rollout baseline.
+    id's values are broadcast to all of its positions; what no advantage needs
+    is built when ``token_stats`` is first read. A group whose rollouts are
+    all correct or all incorrect either raises DegenerateGroup
+    (degenerate_policy="error") or skips the kernel: every table has an empty
+    column, so F = IG = 0, every delta is exactly 0.0, and the token
+    advantages equal the rollout baseline.
     """
     config = config if config is not None else KtaeConfig()
     baseline = grpo_advantages([r.reward for r in group.rollouts], config.std_epsilon)
-    if config.degenerate_policy == "error" and not dapo_admissible(group):
-        raise DegenerateGroup(
-            f"group {group.group_id!r} has {group.num_correct}/{group.size} correct rollouts"
-        )
-
     sizes = [len(r.tokens) for r in group.rollouts]
+    if dapo_admissible(group):
+        base, flat, stats = _refine(group, config, baseline, sizes)
+    elif config.degenerate_policy == "error":
+        raise DegenerateGroup(f"group {group.group_id!r} has {group.num_correct}/{group.size} correct rollouts")
+    else:
+        # The margin enters the memo as in a full call.
+        _table_stats(group.num_correct, group.size - group.num_correct, config.fisher_mode, np.zeros(0, np.int64))
+        base = _snap_to_group_grid(baseline, np.zeros(0))[0]
+        flat = np.repeat(base, sizes) + 0.0  # base + delta: a -0.0 baseline gives 0.0
+        stats = functools.partial(_degenerate_stats, group, config, baseline, sizes)
+    flat.flags.writeable = False
+    rows = tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes))
+    return AdvantageMatrix(rollout_advantages=base, token_advantages=rows, token_stats=stats)
+
+
+def _refine(group: RolloutGroup, config: KtaeConfig, baseline: np.ndarray, sizes: list[int]):
+    """The token-level kernel: the snapped baselines, every position's
+    advantage as one flat array, and a builder of the token statistics."""
     tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
     n_true = group.num_correct
     n_false = group.size - n_true
-    c = n_true - a
-    d = n_false - b
 
-    table_p, table_f, table_ig, table_h = _table_stats(n_true, n_false, config.fisher_mode, a * (n_false + 1) + b)
-    strength = config.h1 * table_f + config.h2 * table_ig
+    values, index = _table_stats(n_true, n_false, config.fisher_mode, a * (n_false + 1) + b)
+    # Strength once per evaluated cell, then gathered with Cohen's h.
+    strength = (config.h1 * values[1] + config.h2 * values[2])[index]
 
     # Mean rollout lengths from exact integer sums. An empty side's TF counts
     # are all 0, so the group mean standing in for its length never shows.
@@ -159,31 +169,33 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     len_avg = total / group.size
     tfs_true = _tf_scores(tf_true, total_true / n_true if n_true else len_avg, len_avg, config)
     tfs_false = _tf_scores(tf_false, (total - total_true) / n_false if n_false else len_avg, len_avg, config)
-    direction = table_h + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
+    direction = values[3][index] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
     ktv = strength * direction
-    delta = sigmoid_shift(ktv)
-    base, delta = _snap_to_group_grid(baseline, delta)
-
-    flat = base[rollout] + delta[token_index]
-    flat.flags.writeable = False
-    return AdvantageMatrix(
-        rollout_advantages=base,
-        token_advantages=tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes)),
-        token_stats=TokenStatsColumns(
-            tokens, a, b, c, d, table_p, table_f, table_ig,
-            tf_true, tf_false, tfs_true, tfs_false, direction, ktv,
-        ),
-    )
+    base, delta = _snap_to_group_grid(baseline, sigmoid_shift(ktv))
+    stats = functools.partial(_stats_columns, tokens, a, b, n_true, n_false, values, index,
+                              tf_true, tf_false, tfs_true, tfs_false, direction, ktv)
+    return base, base[rollout] + delta[token_index], stats
 
 
-def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) -> np.ndarray:
-    """Fisher p, Fisher score, information gain and Cohen's h per token, as
-    the rows of a fresh (4, len(cell)) array.
+def _stats_columns(tokens, a, b, n_true, n_false, values, index, *tf_to_ktv) -> TokenStatsColumns:
+    """Token statistics from a call's counts and the memo rows it gathered."""
+    return TokenStatsColumns(tokens, a, b, n_true - a, n_false - b, *values[:3, index], *tf_to_ktv)
+
+
+def _degenerate_stats(group: RolloutGroup, config: KtaeConfig, baseline: np.ndarray, sizes: list[int]):
+    """A degenerate group's token statistics, from the full kernel."""
+    return _refine(group, config, baseline, sizes)[2]()
+
+
+def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):
+    """One margin's memo values, rows Fisher p, Fisher score, information
+    gain and Cohen's h, and the column in them of each cell.
 
     The margins fix every table a group can have, so each table is named by
     its cell a*(n_false+1) + b. A cell is evaluated once per process while its
     margin stays in the memo. The kernels are elementwise, so a value does not
-    depend on which call filled its cell.
+    depend on which call filled its cell. values is never written once
+    built, so callers may keep it.
     """
     key = (n_true, n_false, fisher_mode)
     with _memo_lock:
@@ -201,10 +213,7 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) 
         index = slot[cell]
         missing = index == 0
         if missing.any():
-            # Each missing cell once. Not np.unique: its first call in a
-            # process imports numpy.ma, about 9 ms.
-            todo = np.sort(cell[missing])
-            todo = todo[np.concatenate(([True], todo[1:] != todo[:-1]))]
+            todo = np.unique(cell[missing])
             ta, tb = np.divmod(todo, n_false + 1)
             tc, td = n_true - ta, n_false - tb
             if fisher_mode == "two_sided":
@@ -217,7 +226,7 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray) 
             index = slot[cell]
         if slot.size <= _MEMO_CELLS:  # a margin over the whole budget is evaluated, not held
             _memo[key] = slot, values
-        return values[:, index]
+        return values, index
 
 
 def _tf_scores(tf: np.ndarray, len_side: float, len_avg: float, config: KtaeConfig) -> np.ndarray:
@@ -236,10 +245,10 @@ def _snap_to_group_grid(base: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray
     sits ~2^-52 below the group's scale, so the snap is at most one part in
     2^52 of the largest baseline.
     """
-    span = float(np.max(np.abs(base))) + 0.5
+    span = float(np.abs(base).max()) + 0.5
     quantum = math.ldexp(1.0, math.frexp(span)[1] - 52)
-    base_q = np.round(base / quantum) * quantum
+    base_q = np.rint(base / quantum) * quantum
     base_q.flags.writeable = False
     limit = max(0.5 - quantum, 0.0)
-    delta_q = np.clip(np.round(delta / quantum) * quantum, -limit, limit)
+    delta_q = np.clip(np.rint(delta / quantum) * quantum, -limit, limit)
     return base_q, delta_q

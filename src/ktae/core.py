@@ -61,9 +61,9 @@ class Rollout:
     texts: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "tokens", _as_tuple(self.tokens, "rollout tokens"))
         if self.texts is not None:
-            object.__setattr__(self, "texts", tuple(self.texts))
+            object.__setattr__(self, "texts", _as_tuple(self.texts, "rollout texts"))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class RolloutGroup:
     correctness_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rollouts", tuple(self.rollouts))
+        object.__setattr__(self, "rollouts", _as_tuple(self.rollouts, "rollouts"))
         validate_group(self)
 
     @property
@@ -135,6 +135,11 @@ class KtaeConfig:
     standardized term frequency. tf_floor keeps the direction score finite
     when a token is absent from one side; std_epsilon guards zero reward
     variance.
+
+    So that no computed value overflows float64, (k1 + 1) * 2**63, the TF
+    ratio bound (k1 + 1) / tf_floor, the frequency term's |h3| * that ratio,
+    and the key-token-value's (h1 + h2) * (pi/2 + that term) must all stay
+    finite with 4x to spare; otherwise the config is a ConfigError.
     """
 
     h1: float = 1.0
@@ -163,6 +168,12 @@ class KtaeConfig:
             raise ConfigError(f"std_epsilon must be positive, got {self.std_epsilon}")
         if self.tf_floor <= 0:
             raise ConfigError(f"tf_floor must be positive, got {self.tf_floor}")
+        ratio = (self.k1 + 1.0) / self.tf_floor
+        direction = math.pi / 2 + abs(self.h3) * ratio
+        bounds = ((self.k1 + 1.0) * 2.0**63, ratio, direction, (self.h1 + self.h2) * direction)
+        if not all(math.isfinite(4.0 * bound) for bound in bounds):
+            raise ConfigError(f"h1={self.h1}, h2={self.h2}, h3={self.h3}, k1={self.k1} and tf_floor={self.tf_floor} "
+                              "let key-token-values overflow float64")
         if self.fisher_mode not in ("point", "two_sided"):
             raise ConfigError(f"fisher_mode must be 'point' or 'two_sided', got {self.fisher_mode!r}")
         if self.degenerate_policy not in ("zeros", "error"):
@@ -251,11 +262,22 @@ class AdvantageMatrix:
     token_advantages[i] aligns with rollouts[i].tokens; every position of a
     given token id inside the group carries the same (token - rollout)
     advantage delta, and that delta always lies strictly inside (-0.5, 0.5).
+    token_stats may be a zero-argument callable that builds it on first access.
     """
 
     rollout_advantages: np.ndarray
     token_advantages: tuple[np.ndarray, ...]
     token_stats: TokenStatsColumns
+
+    def __post_init__(self) -> None:
+        if callable(self.token_stats):
+            self.__dict__["_build_stats"] = self.__dict__.pop("token_stats")
+
+    def __getattr__(self, name: str):  # reached only for attributes not set yet
+        if name != "token_stats" or "_build_stats" not in self.__dict__:
+            return object.__getattribute__(self, name)  # the usual AttributeError
+        self.__dict__[name] = stats = self.__dict__["_build_stats"]()
+        return stats
 
 
 def validate_group(group: RolloutGroup) -> RolloutGroup:
@@ -264,6 +286,8 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
 
     Returns the same (immutable) group on success so call sites can chain.
     """
+    if not isinstance(group.group_id, str):
+        raise InvalidGroup(f"group_id must be a string, got {group.group_id!r}")
     if group.size < 2:
         raise InvalidGroup(f"group {group.group_id!r} has {group.size} rollout(s); need at least 2")
     threshold = group.correctness_threshold
@@ -293,6 +317,13 @@ def validate_group(group: RolloutGroup) -> RolloutGroup:
         _check_token_ids(group)
     group.correct_mask  # populate the cached partition
     return group
+
+
+def _as_tuple(value, what: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidGroup(f"{what} must be a sequence, got {type(value).__name__}") from None
 
 
 def _is_finite_number(value) -> bool:

@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import fields
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ktae import ContingencyTable as CT
 from ktae import (
+    ConfigError,
     DegenerateGroup,
     InvalidGroup,
     KtaeConfig,
@@ -24,6 +27,7 @@ from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
 
 from conftest import at_one, rollout_groups
+from test_golden import GOLDEN_SHA256, WIDE_SHA256, compute_sha256, golden_groups, wide_groups
 
 SQRT3 = math.sqrt(3.0)
 
@@ -82,6 +86,14 @@ class TestGrpoAdvantages:
     def test_rejects_rewards_whose_moments_overflow(self):
         with pytest.raises(InvalidGroup, match="reward magnitudes overflow float64 statistics"):
             grpo_advantages([1.7e308, 1.7e308, -1.0e308])
+
+    @given(st.lists(st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 1.0, 0.5]), min_size=2, max_size=40),
+           st.floats(1e-300, 1.0))
+    @settings(max_examples=300)
+    def test_moments_are_those_of_numpy_mean_and_std(self, rewards, std_epsilon):
+        arr = np.array(rewards)
+        expected = np.zeros_like(arr) if np.all(arr == arr[0]) else (arr - arr.mean()) / max(arr.std(), std_epsilon)
+        assert grpo_advantages(rewards, std_epsilon).tobytes() == expected.tobytes()
 
     def test_tiny_variance_is_guarded_not_zeroed(self):
         baseline = grpo_advantages([0.0, 1e-12], std_epsilon=1e-8)
@@ -537,3 +549,101 @@ class TestMemo:
             thread.join()
         for t, got in enumerate(results):
             assert got == serial[t:] + serial[:t], t
+
+
+def degenerate(group, correct):
+    """The group relabeled so that every rollout is correct or every one incorrect."""
+    rewards = [r.reward for r in group.rollouts]
+    threshold = min(rewards) - 1.0 if correct else max(rewards) + 1.0
+    return RolloutGroup(group.group_id, group.rollouts, correctness_threshold=threshold)
+
+
+def full_kernel(monkeypatch):
+    """Send degenerate groups through the whole token-level kernel."""
+    monkeypatch.setattr(advantage, "dapo_admissible", lambda group: True)
+
+
+class TestPlainPath:
+    """The plain path builds no token statistics and skips the kernel on
+    degenerate groups, with the bytes of the full computation."""
+
+    def test_plain_compute_builds_no_token_statistics(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("token statistics built on the plain path")
+
+        monkeypatch.setattr(advantage, "_stats_columns", refuse)
+        monkeypatch.setattr(advantage, "_degenerate_stats", refuse)
+        assert compute_sha256(golden_groups(), "plain", tmp_path) == GOLDEN_SHA256["plain"]
+        assert compute_sha256(wide_groups(), "plain", tmp_path) == WIDE_SHA256["plain"]
+        with pytest.raises(AssertionError, match="plain path"):  # the patch is the one --stats reaches
+            compute_sha256(golden_groups(), "stats", tmp_path)
+
+    @pytest.mark.parametrize("fisher_mode", ["point", "two_sided"])
+    @pytest.mark.parametrize("group", [
+        binary_group([True] * 4, [(1, 2), (1, 3), (2, 4), (5,)]),
+        binary_group([False] * 3, [(1,), (2, 2), (3, 1)]),
+        # unequal rewards, all above the threshold: a nonzero baseline
+        RolloutGroup("graded", (Rollout((1, 2), 0.9), Rollout((1, 3, 3), 0.7), Rollout((4,), 0.6))),
+        # a baseline that snaps to -0.0, whose token advantages are 0.0
+        RolloutGroup("signed", (Rollout((1, 2), -1.0), Rollout((1, 3), 1.0), Rollout((4,), -1e-300)),
+                     correctness_threshold=-2.0),
+    ], ids=["all-correct", "all-incorrect", "graded", "negative-zero"])
+    def test_degenerate_line_equals_the_full_kernel_line(self, monkeypatch, group, fisher_mode):
+        config = KtaeConfig(fisher_mode=fisher_mode)
+        short = compute_advantages(group, config)
+        lines = [advantage_record_line(group.group_id, short, stats) for stats in (False, True)]
+        full_kernel(monkeypatch)
+        full = compute_advantages(group, config)
+        assert lines == [advantage_record_line(group.group_id, full, stats) for stats in (False, True)]
+        assert matrix_bytes(short) == matrix_bytes(full)
+        if group.group_id == "negative-zero":
+            assert np.signbit(short.rollout_advantages[2]) and not np.signbit(short.token_advantages[2][0])
+
+    @given(kernel_groups(), st.booleans(), st.sampled_from(["point", "two_sided"]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_degenerate_group_gives_the_full_kernel_bytes(self, group, correct, fisher_mode):
+        group = degenerate(group, correct)
+        config = KtaeConfig(fisher_mode=fisher_mode)
+        short = matrix_bytes(compute_advantages(group, config))
+        with pytest.MonkeyPatch.context() as mp:
+            full_kernel(mp)
+            assert matrix_bytes(compute_advantages(group, config)) == short
+
+    def test_statistics_read_after_the_margin_is_evicted(self, monkeypatch):
+        empty_memo(monkeypatch)
+        group = binary_group([True, True, False], [(7, 3, 7), (3, 2, 5), (3, 11, 11, 5)])
+        matrix = compute_advantages(group)
+        del advantage._memo[2, 1, "point"]
+        kept = pickle.loads(pickle.dumps(compute_advantages(group)))
+        fresh = compute_advantages(group)
+        assert matrix_bytes(matrix) == matrix_bytes(fresh) == matrix_bytes(kept)
+
+
+def extreme(low):
+    """Floats from ``low`` up to 1e308, spread over every magnitude."""
+    return st.floats(low, 1e308) | st.integers(-330, 308).map(lambda e: 10.0 ** e).filter(lambda v: v >= low)
+
+
+FINITE_GROUPS = (
+    binary_group([True, True, False, False], [(1, 1, 1, 1, 2), (1, 3), (2, 4, 4), (5,)]),
+    binary_group([True] * 3, [(1, 2), (1, 1, 1), (3,)]),
+    RolloutGroup("graded", (Rollout((1, 2), 0.2), Rollout((2, 2, 2, 2), 0.1))),
+)
+
+
+@given(extreme(0.0), extreme(0.0), extreme(0.0), st.booleans(), extreme(0.0), st.floats(0.0, 1.0),
+       extreme(0.0), extreme(0.0), st.sampled_from(["point", "two_sided"]))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_config_gives_finite_values(h1, h2, h3, negative, k1, b, std_epsilon, tf_floor, fisher_mode):
+    try:
+        config = KtaeConfig(h1=h1, h2=h2, h3=-h3 if negative else h3, k1=k1, b=b,
+                            std_epsilon=std_epsilon, tf_floor=tf_floor, fisher_mode=fisher_mode)
+    except ConfigError:
+        return
+    for group in FINITE_GROUPS:
+        matrix = compute_advantages(group, config)
+        assert all(np.isfinite(np.frombuffer(b)).all() for b in matrix_bytes(matrix)[:-14])
+        s = matrix.token_stats
+        assert all(np.isfinite(getattr(s, f.name)).all() for f in fields(s))
+        json.loads(advantage_record_line(group.group_id, matrix, include_stats=True),
+                   parse_constant=lambda name: pytest.fail(f"{name} in the output"))

@@ -151,6 +151,22 @@ def test_types_are_immutable():
         KtaeConfig().h1 = 2.0
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RolloutGroup("g", None), "rollouts must be a sequence, got NoneType"),
+        (lambda: RolloutGroup("g", 3), "rollouts must be a sequence, got int"),
+        (lambda: Rollout(5, 1.0), "rollout tokens must be a sequence, got int"),
+        (lambda: Rollout((1, 2), 1.0, texts=7), "rollout texts must be a sequence, got int"),
+        (lambda: RolloutGroup(7, make_group([1.0, 0.0]).rollouts), "group_id must be a string, got 7"),
+        (lambda: RolloutGroup(None, make_group([1.0, 0.0]).rollouts), "group_id must be a string, got None"),
+    ],
+)
+def test_constructors_reject_what_is_not_a_sequence_or_a_string_id(build, message):
+    with pytest.raises(InvalidGroup, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_rollout_coerces_sequences_to_tuples():
     rollout = Rollout(tokens=[1, 2, 3], reward=1.0, texts=["a", "b", "c"])
     assert rollout.tokens == (1, 2, 3)
@@ -236,3 +252,17 @@ class TestKtaeConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             KtaeConfig.from_dict({"h1": 1.0, "mystery": 2.0})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"h3": 1e308},  # h3 * (T/F - F/T) overflows: NaN advantages on a degenerate group
+            {"h1": 0.0, "h2": 0.0, "k1": 1e308, "tf_floor": 1.0},  # (k1 + 1) * tf overflows: NaN, TF_T Infinity
+            {"h3": 0.0, "tf_floor": 1e-308},  # T/F overflows, and 0 * inf is NaN
+            {"h1": 1e308, "h2": 1e308},  # h1 + h2 overflows
+            {"h2": 1e302, "h3": 1e4},  # the key-token-value bound overflows, its factors do not
+        ],
+    )
+    def test_configs_whose_values_can_overflow_are_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=r"^h1=.*, h2=.*, h3=.*, k1=.* and tf_floor=.* let key-token-values overflow"):
+            KtaeConfig(**kwargs)
