@@ -606,6 +606,19 @@ class TestOracleCheck:
         assert capsys.readouterr().err == "config error: --max-n must be <= 64, got 65\n"
 
 
+def test_compute_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
+    """np.unique without return_inverse imports numpy.ma on its first call,
+    about 14 ms of every process's set-up."""
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(group_record_line(g) + "\n" for g in generate(SynthSpec(num_groups=4))), encoding="utf-8")
+    code = ("import sys; from ktae.cli import main; "
+            f"assert main(['compute', '--input', {str(src)!r}, '--output', {str(tmp_path / 'out.jsonl')!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
