@@ -188,8 +188,8 @@ def _degenerate_stats(group: RolloutGroup, config: KtaeConfig, baseline: np.ndar
 
 
 def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):
-    """One margin's memo values, rows Fisher p, Fisher score, information
-    gain and Cohen's h, and the column in them of each cell.
+    """The memo values of one margin (rows: Fisher p, Fisher score,
+    information gain, Cohen's h) and each cell's column in them.
 
     The margins fix every table a group can have, so each table is named by
     its cell a*(n_false+1) + b. A cell is evaluated once per process while its
