@@ -17,7 +17,6 @@ from .advantage import compute_advantages, dapo_admissible, grpo_advantages, sig
 from .core import (
     AdvantageMatrix,
     ConfigError,
-    ContingencyTable,
     DegenerateGroup,
     DomainError,
     InvalidGroup,
@@ -25,7 +24,6 @@ from .core import (
     KtaeError,
     Rollout,
     RolloutGroup,
-    TokenStats,
 )
 from .synth import SynthSpec, generate, recovery_report
 
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvantageMatrix",
     "ConfigError",
-    "ContingencyTable",
     "DegenerateGroup",
     "DomainError",
     "InvalidGroup",
@@ -43,7 +40,6 @@ __all__ = [
     "Rollout",
     "RolloutGroup",
     "SynthSpec",
-    "TokenStats",
     "compute_advantages",
     "dapo_admissible",
     "generate",

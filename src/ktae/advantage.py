@@ -52,7 +52,8 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = KtaeConfig.st
     read-only array.
 
     A group whose rewards are all equal gets exactly zero advantages; the
-    epsilon guard only matters for tiny-but-nonzero variance.
+    epsilon guard only matters for tiny-but-nonzero variance. Rewards whose
+    moments overflow float64 are first divided by their largest magnitude.
     """
     try:
         arr = np.asarray(list(rewards), dtype=np.float64)
@@ -62,17 +63,18 @@ def grpo_advantages(rewards: Sequence[float], std_epsilon: float = KtaeConfig.st
         raise InvalidGroup(f"need at least 2 rewards, got {arr.size}")
     if not np.isfinite(arr).all():
         raise InvalidGroup("rewards must all be finite")
-    with np.errstate(over="ignore"):  # overflow is caught by the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum makes the std inf or NaN
         # arr.mean() and arr.std(), the mean taken once.
         mean = float(np.add.reduce(arr)) / arr.size
         deviation = arr - mean
         std = math.sqrt(float(np.add.reduce(deviation * deviation)) / arr.size)
-    if not (math.isfinite(mean) and math.isfinite(std)):
-        raise InvalidGroup("reward magnitudes overflow float64 statistics")
+    if not math.isfinite(std):
+        scale = float(np.abs(arr).max())
+        return grpo_advantages(arr / scale, std_epsilon / scale)
     if (arr == arr[0]).all():
         advantages = np.zeros_like(arr)
     else:
-        advantages = (arr - mean) / max(std, std_epsilon)
+        advantages = deviation / max(std, std_epsilon)
     advantages.flags.writeable = False
     return advantages
 

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args
 
 from .advantage import compute_advantages
 from .core import ConfigError, KtaeConfig, KtaeError
@@ -32,8 +33,6 @@ from .records import (
 from .synth import SynthSpec, generate, recovery_report
 
 ORACLE_TOLERANCE = 1e-9
-
-_CONFIG_FLAGS = ("h1", "h2", "h3", "k1", "b", "std_epsilon", "tf_floor")
 
 # `compute --parallel` hands each batch to the pool in at least this many
 # chunks per worker: 128 short lines go 16 to a task, while an 8-line pass of
@@ -83,10 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides (flags beat file values beat defaults)")
-    for name in _CONFIG_FLAGS:
-        group.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=f"cfg_{name}")
-    group.add_argument("--fisher-mode", choices=("point", "two_sided"), default=None, dest="cfg_fisher_mode")
-    group.add_argument("--degenerate-policy", choices=("zeros", "error"), default=None, dest="cfg_degenerate_policy")
+    for f in fields(KtaeConfig):  # a float, or a Literal of the accepted strings
+        choices = get_args(f.type) or None
+        group.add_argument(f"--{f.name.replace('_', '-')}", type=None if choices else f.type, choices=choices,
+                           default=None, dest=f"cfg_{f.name}")
 
 
 def resolve_config(args: argparse.Namespace) -> KtaeConfig:

@@ -7,16 +7,13 @@ for {0, 1} rewards. A group checks its rules when it is built; all types
 are immutable and safe to share across workers.
 """
 
-from __future__ import annotations
-
 import array
 import itertools
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Literal, NamedTuple
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -103,28 +100,6 @@ class RolloutGroup:
         return sum(self.correct_mask)
 
 
-class ContingencyTable(NamedTuple):
-    """2x2 occurrence-vs-correctness counts for one token type.
-
-    a: correct rollouts containing the token    b: incorrect, containing
-    c: correct rollouts omitting the token      d: incorrect, omitting
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def n(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-    def check(self) -> "ContingencyTable":
-        if min(self) < 0:
-            raise DomainError(f"contingency counts must be non-negative, got {self}")
-        return self
-
-
 @dataclass(frozen=True)
 class KtaeConfig:
     """Weights and numeric guards for the token-level advantage computation.
@@ -134,7 +109,8 @@ class KtaeConfig:
     k1 and b are the saturation and length-normalization parameters of the
     standardized term frequency. tf_floor keeps the direction score finite
     when a token is absent from one side; std_epsilon guards zero reward
-    variance.
+    variance. A field's type (float, or a Literal of the accepted strings)
+    drives its check and its ``ktae`` override flag.
 
     So that no computed value overflows float64, (k1 + 1) * 2**63, the TF
     ratio bound (k1 + 1) / tf_floor, the frequency term's |h3| * that ratio,
@@ -153,11 +129,12 @@ class KtaeConfig:
     degenerate_policy: DegeneratePolicy = "zeros"
 
     def __post_init__(self) -> None:
-        for name in ("h1", "h2", "h3", "k1", "b", "std_epsilon", "tf_floor"):
-            value = getattr(self, name)
-            if not _is_finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        for f in fields(self):
+            if f.type is float:
+                value = getattr(self, f.name)
+                if not _is_finite_number(value):
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
         if self.h1 < 0 or self.h2 < 0:
             raise ConfigError(f"h1 and h2 must be non-negative, got h1={self.h1}, h2={self.h2}")
         if self.k1 <= 0:
@@ -174,10 +151,10 @@ class KtaeConfig:
         if not all(math.isfinite(4.0 * bound) for bound in bounds):
             raise ConfigError(f"h1={self.h1}, h2={self.h2}, h3={self.h3}, k1={self.k1} and tf_floor={self.tf_floor} "
                               "let key-token-values overflow float64")
-        if self.fisher_mode not in ("point", "two_sided"):
-            raise ConfigError(f"fisher_mode must be 'point' or 'two_sided', got {self.fisher_mode!r}")
-        if self.degenerate_policy not in ("zeros", "error"):
-            raise ConfigError(f"degenerate_policy must be 'zeros' or 'error', got {self.degenerate_policy!r}")
+        for f in fields(self):
+            choices, value = get_args(f.type), getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be {' or '.join(map(repr, choices))}, got {value!r}")
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "KtaeConfig":
@@ -188,29 +165,13 @@ class KtaeConfig:
         return cls(**mapping)
 
 
-class TokenStats(NamedTuple):
-    """Per-token-type intermediates from table to key-token-value."""
-
-    token: int
-    table: ContingencyTable
-    fisher_p: float
-    fisher_score: float
-    info_gain: float
-    tf_true: float
-    tf_false: float
-    tf_score_true: float
-    tf_score_false: float
-    direction: float
-    key_token_value: float
-
-
 @dataclass(frozen=True, eq=False)
-class TokenStatsColumns(Mapping[int, TokenStats]):
+class TokenStatsColumns:
     """Per-token statistics of one group, one read-only array per quantity.
 
     Row i of every column belongs to ``tokens[i]``; ``tokens`` is sorted and
-    distinct. As a ``Mapping[int, TokenStats]`` it builds a row only when one
-    is looked up; bulk readers should read the columns instead.
+    distinct, and ``index`` finds a token's row. ``tokens``, ``a``-``d`` and
+    the TF counts are int64, every other column float64.
     """
 
     tokens: np.ndarray
@@ -242,17 +203,6 @@ class TokenStatsColumns(Mapping[int, TokenStats]):
         if i == len(self.tokens) or self.tokens[i] != t:
             raise KeyError(token)
         return i
-
-    def __getitem__(self, token: int) -> TokenStats:
-        i = self.index(token)
-        a, b, c, d, *rest = (getattr(self, f.name).item(i) for f in fields(self)[1:])
-        return TokenStats(self.tokens.item(i), ContingencyTable(a, b, c, d), *rest)
-
-    def __iter__(self):
-        return iter(self.tokens.tolist())
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,33 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContingencyTable, DomainError, KtaeConfig, RolloutGroup, TokenStats
+from .core import DomainError, KtaeConfig, RolloutGroup, TokenStatsColumns
 
 # Largest table total compare_fast_vs_exact sweeps: its cost grows as N^4
 # (814k tables at 64). A single table takes any total.
 MAX_EXACT_N = 64
+
+
+class ContingencyTable(NamedTuple):
+    """2x2 occurrence-vs-correctness counts for one token type.
+
+    a: correct rollouts containing the token    b: incorrect, containing
+    c: correct rollouts omitting the token      d: incorrect, omitting
+    """
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    @property
+    def n(self) -> int:
+        return self.a + self.b + self.c + self.d
+
+    def check(self) -> "ContingencyTable":
+        if min(self) < 0:
+            raise DomainError(f"contingency counts must be non-negative, got {self}")
+        return self
 
 
 def fisher_exact_rational(table: ContingencyTable) -> Fraction:
@@ -93,7 +115,7 @@ class ReferenceAdvantages(NamedTuple):
 
     rollout_advantages: tuple[float, ...]
     token_advantages: tuple[tuple[float, ...], ...]
-    token_stats: dict[int, TokenStats]
+    token_stats: TokenStatsColumns
     deltas: dict[int, float]  # sigmoid(key_token_value) - 0.5 per token id
 
 
@@ -136,7 +158,7 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
             return 0.0
         return (config.k1 + 1.0) * tf / (config.k1 * (1.0 - config.b + config.b * len_side[side] / len_avg) + tf)
 
-    token_stats: dict[int, TokenStats] = {}
+    rows: list[tuple] = []
     deltas: dict[int, float] = {}
     for token in sorted({t for r in group.rollouts for t in r.tokens}):
         table = brute_force_stats(group, token)
@@ -157,15 +179,18 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
         direction = cohen_h + config.h3 * (t / f - f / t)
         ktv = (config.h1 * fisher_score + config.h2 * info_gain) * direction
 
-        token_stats[token] = TokenStats(token, table, p, fisher_score, info_gain, tf_true, tf_false,
-                                        score_true, score_false, direction, ktv)
+        rows.append((int(token), *table, p, fisher_score, info_gain, tf_true, tf_false,
+                     score_true, score_false, direction, ktv))
         if ktv >= 0:
             deltas[token] = 1.0 / (1.0 + math.exp(-ktv)) - 0.5
         else:
             deltas[token] = math.exp(ktv) / (1.0 + math.exp(ktv)) - 0.5
 
-    rows = tuple(tuple(level + deltas[t] for t in r.tokens) for level, r in zip(base, group.rollouts))
-    return ReferenceAdvantages(tuple(base), rows, token_stats, deltas)
+    # Columns with the kernel's dtypes: the counts int64, the rest float64.
+    token_stats = TokenStatsColumns(*(np.array(column, dtype=np.float64 if isinstance(column[0], float) else np.int64)
+                                      for column in zip(*rows)))
+    advantages = tuple(tuple(level + deltas[t] for t in r.tokens) for level, r in zip(base, group.rollouts))
+    return ReferenceAdvantages(tuple(base), advantages, token_stats, deltas)
 
 
 def all_tables_with_total(n: int):

@@ -164,7 +164,7 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
             plant_abs_ktv.append(abs_ktv.item(i))
             plant_abs_delta.append(abs(deltas.item(i)))
             plant_ranks.append(1 + int(np.count_nonzero(abs_ktv > abs_ktv[i])))
-        filler = np.ones(len(s), dtype=bool)
+        filler = np.ones(s.tokens.size, dtype=bool)
         filler[[s.index(tok) for tok in plant_set]] = False
         filler_abs_ktv += abs_ktv[filler].tolist()
         filler_abs_delta += np.abs(deltas[filler]).tolist()
@@ -195,7 +195,7 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
 def _emitted_deltas(group: RolloutGroup, matrix) -> np.ndarray:
     """Each token's delta as read off the emitted rows (all positions of a
     token carry the same one), aligned with ``matrix.token_stats.tokens``."""
-    out = np.empty(len(matrix.token_stats))
+    out = np.empty(matrix.token_stats.tokens.size)
     lengths = [len(row) for row in matrix.token_advantages]
     out[matrix.token_stats.tokens.searchsorted(group.token_ids)] = (
         np.concatenate(matrix.token_advantages) - np.repeat(matrix.rollout_advantages, lengths)

@@ -7,7 +7,8 @@ from html.parser import HTMLParser
 import numpy as np
 from hypothesis import strategies as st
 
-from ktae import ContingencyTable, Rollout, RolloutGroup
+from ktae import Rollout, RolloutGroup
+from ktae.oracle import ContingencyTable
 
 VOID_TAGS = {"meta", "br", "hr", "img", "link", "input"}
 
@@ -51,6 +52,12 @@ def at_one(kernel, *args, **kwargs) -> float:
         else:
             columns.append(np.array([arg]))
     return float(kernel(*columns, **kwargs)[0])
+
+
+def table_at(s, token: int) -> ContingencyTable:
+    """The (a, b, c, d) table of ``token``'s row in a TokenStatsColumns."""
+    i = s.index(token)
+    return ContingencyTable(s.a.item(i), s.b.item(i), s.c.item(i), s.d.item(i))
 
 
 def random_tables(rng: np.random.Generator, count: int, max_cell: int = 16):

@@ -3,13 +3,13 @@ import math
 import pickle
 import threading
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ktae import ContingencyTable as CT
 from ktae import (
     ConfigError,
     DegenerateGroup,
@@ -23,10 +23,11 @@ from ktae import (
 )
 from ktae import advantage, core, frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid_shift
+from ktae.oracle import ContingencyTable as CT
 from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
 
-from conftest import at_one, rollout_groups
+from conftest import at_one, rollout_groups, table_at
 from test_golden import GOLDEN_SHA256, WIDE_SHA256, compute_sha256, golden_groups, wide_groups
 
 SQRT3 = math.sqrt(3.0)
@@ -83,9 +84,17 @@ class TestGrpoAdvantages:
         with pytest.raises(InvalidGroup, match="rewards must all be finite"):
             grpo_advantages([10**400, 0])
 
-    def test_rejects_rewards_whose_moments_overflow(self):
-        with pytest.raises(InvalidGroup, match="reward magnitudes overflow float64 statistics"):
-            grpo_advantages([1.7e308, 1.7e308, -1.0e308])
+    def test_overflowing_moments_are_taken_over_scaled_rewards(self):
+        # Each sum of squares, and for the last two the mean's sum, overflows
+        # float64; the advantages are those of the rewards over their largest
+        # magnitude.
+        assert grpo_advantages([0.0, 1e300]).tolist() == [-1.0, 1.0]
+        assert grpo_advantages([1.7e308, 1.7e308, -1.0e308]) == pytest.approx([math.sqrt(0.5), math.sqrt(0.5), -math.sqrt(2.0)])
+        assert grpo_advantages([1.7e308] * 3).tolist() == [0.0] * 3
+        # A deviation beyond float64: 1.7e308 against a mean of -1.4875e308.
+        wide = grpo_advantages([1.7e308] + [-1.7e308] * 15)
+        assert wide == pytest.approx(grpo_advantages([1.0] + [-1.0] * 15), rel=1e-15)
+        assert wide.flags.writeable is False
 
     @given(st.lists(st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 1.0, 0.5]), min_size=2, max_size=40),
            st.floats(1e-300, 1.0))
@@ -132,10 +141,10 @@ class TestKeyTokenValue:
     def test_composed_perfect_split_factors(self):
         # F and IG of table (4,0,0,4) composed with a half-pi direction (h3 = 0
         # leaves Cohen's h alone)
-        row = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h3=0.0)).token_stats[7]
-        assert row.table == CT(4, 0, 0, 4)
-        assert row.direction == math.pi / 2
-        value = row.key_token_value
+        s = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h3=0.0)).token_stats
+        assert table_at(s, 7) == CT(4, 0, 0, 4)
+        assert s.direction[s.index(7)] == math.pi / 2
+        value = s.key_token_value.item(s.index(7))
         assert value == pytest.approx(4.6681441639501235, rel=1e-12)
         assert value == pytest.approx((math.exp(-2.0 / 70.0) + 2.0) * math.pi / 2, rel=1e-15)
 
@@ -193,8 +202,9 @@ class TestComputeAdvantages:
         for i in range(3):
             # position 0 holds the everywhere-token
             assert matrix.token_advantages[i][0] == matrix.rollout_advantages[i]
-        assert matrix.token_stats[9].key_token_value == 0.0
-        assert matrix.token_stats[9].table == CT(2, 1, 0, 0)
+        s = matrix.token_stats
+        assert s.key_token_value[s.index(9)] == 0.0
+        assert table_at(s, 9) == CT(2, 1, 0, 0)
 
     def test_exclusive_tokens_get_signed_deltas(self):
         group = binary_group(
@@ -213,7 +223,7 @@ class TestComputeAdvantages:
         assert matrix.rollout_advantages.tolist() == [0.0] * 4
         for row in matrix.token_advantages:
             assert np.all(row == 0.0)
-        assert all(s.key_token_value == 0.0 for s in matrix.token_stats.values())
+        assert np.all(matrix.token_stats.key_token_value == 0.0)
 
     def test_degenerate_all_incorrect_zeros_policy(self):
         group = binary_group([False] * 3, [(1,), (2,), (3,)])
@@ -263,23 +273,18 @@ class TestComputeAdvantages:
             [True, True, False, False],
             [(5, 3, 5, 1), (2, 2, 9), (3, 1, 4, 1, 5), (8, 8)],
         )
-        first = compute_advantages(group)
-        second = compute_advantages(group)
-        assert np.array_equal(first.rollout_advantages, second.rollout_advantages)
-        for a, b in zip(first.token_advantages, second.token_advantages):
-            assert np.array_equal(a, b)
-        assert first.token_stats == second.token_stats
+        assert matrix_bytes(compute_advantages(group)) == matrix_bytes(compute_advantages(group))
 
     def test_two_sided_mode_matches_scalar_two_sided(self):
         group = binary_group(
             [True, True, False, False],
             [(1, 2), (1, 3), (2, 4), (5, 1)],
         )
-        matrix = compute_advantages(group, KtaeConfig(fisher_mode="two_sided"))
-        for token, row in matrix.token_stats.items():
-            two_sided = at_one(stats.fisher_two_sided_prob_array, row.table)
-            assert row.fisher_p == pytest.approx(two_sided, rel=1e-12)
-            assert 0.0 < row.fisher_p <= 1.0
+        s = compute_advantages(group, KtaeConfig(fisher_mode="two_sided")).token_stats
+        for token, fisher_p in zip(s.tokens.tolist(), s.fisher_p.tolist()):
+            two_sided = at_one(stats.fisher_two_sided_prob_array, table_at(s, token))
+            assert fisher_p == pytest.approx(two_sided, rel=1e-12)
+            assert 0.0 < fisher_p <= 1.0
 
     def test_matrix_shapes_match_the_group(self):
         group = binary_group([True, False], [(1, 2, 3), (4, 5)])
@@ -308,12 +313,11 @@ class TestComputeAdvantages:
         )
         ours = compute_advantages(group).token_stats
         theirs = compute_advantages(flipped).token_stats
-        for token, stats in ours.items():
-            other = theirs[token]
-            assert other.fisher_p == pytest.approx(stats.fisher_p, abs=1e-12)
-            assert other.info_gain == pytest.approx(stats.info_gain, abs=1e-12)
-            if stats.tf_true > 0 and stats.tf_false > 0:  # no floor clamp on either side
-                assert other.key_token_value == pytest.approx(-stats.key_token_value, abs=1e-9)
+        assert theirs.tokens.tobytes() == ours.tokens.tobytes()
+        assert theirs.fisher_p == pytest.approx(ours.fisher_p, abs=1e-12)
+        assert theirs.info_gain == pytest.approx(ours.info_gain, abs=1e-12)
+        unclamped = (ours.tf_true > 0) & (ours.tf_false > 0)  # no floor clamp on either side
+        assert theirs.key_token_value[unclamped] == pytest.approx(-ours.key_token_value[unclamped], abs=1e-9)
 
 
 class TestTokenStatsColumns:
@@ -322,25 +326,23 @@ class TestTokenStatsColumns:
             [True, True, False], [(7, 3, 7), (3, 2**63 - 1), (3, 11, 11, 11)],
         ))
 
-    def test_rows_are_built_from_the_columns(self):
+    def test_index_finds_each_tokens_row(self):
         s = self.matrix().token_stats
-        assert s.tokens.tolist() == [3, 7, 11, 2**63 - 1] == list(s)
-        assert len(s) == 4
-        row = s[11]
-        assert row.token == 11 and type(row.token) is int
-        assert row.table == CT(0, 1, 2, 0)
-        assert (row.tf_true, row.tf_false) == (0, 3) and type(row.tf_false) is int
-        i = s.index(11)
-        assert row.key_token_value == s.key_token_value[i] and type(row.key_token_value) is float
-        assert dict(s.items())[7] == s[7]
-        assert s[2**63 - 1].table == CT(1, 0, 1, 1)
+        assert s.tokens.tolist() == [3, 7, 11, 2**63 - 1]
+        assert [s.index(t) for t in s.tokens.tolist()] == [0, 1, 2, 3]
+        assert s.index(np.int64(11)) == 2
+        assert table_at(s, 11) == CT(0, 1, 2, 0)
+        assert (s.tf_true[2], s.tf_false[2]) == (0, 3)
+        assert table_at(s, 2**63 - 1) == CT(1, 0, 1, 1)
+        ints = {"tokens", "a", "b", "c", "d", "tf_true", "tf_false"}
+        for f in fields(s):
+            assert getattr(s, f.name).dtype == (np.int64 if f.name in ints else np.float64), f.name
+        assert not isinstance(s, Mapping)  # one row per lookup is not built
 
     @pytest.mark.parametrize("key", [4, -3, 2**63, 2**70, "7", 7.0, None])
     def test_absent_or_foreign_keys_raise_key_error(self, key):
-        s = self.matrix().token_stats
-        assert key not in s
         with pytest.raises(KeyError):
-            s[key]
+            self.matrix().token_stats.index(key)
 
     def test_columns_are_read_only(self):
         s = self.matrix().token_stats
@@ -439,7 +441,7 @@ class TestWorkCount:
             monkeypatch.setattr(stats, name, counted)
         s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
         tables = len(set(zip(s.a.tolist(), s.b.tolist())))
-        assert len(s) > tables  # the shape must share tables between tokens
+        assert s.tokens.size > tables  # the shape must share tables between tokens
         assert rows and max(rows) <= tables
         rows.clear()
         compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))

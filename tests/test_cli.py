@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ktae.cli as cli
-from ktae import ConfigError, ContingencyTable, KtaeConfig, RolloutGroup
+from ktae import ConfigError, KtaeConfig, RolloutGroup
 from ktae.cli import _process_line, main
+from ktae.oracle import ContingencyTable
 from ktae.records import group_record_line, load_flat_mapping, parse_advantage_record
 from ktae.synth import SynthSpec, generate
 
@@ -196,6 +199,32 @@ class TestCompute:
         assert main(args) == 0
         assert main(args + ["--degenerate-policy", "error"]) == 1
         assert "DegenerateGroup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "bench"])
+    def test_every_config_field_has_exactly_one_override_flag(self, command):
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        overrides = [a for a in subparsers.choices[command]._actions if a.dest.startswith("cfg_")]
+        names = [f.name for f in dataclasses.fields(KtaeConfig)]
+        assert sorted(a.dest for a in overrides) == sorted(f"cfg_{name}" for name in names)
+        assert [a.option_strings for a in overrides] == [[f"--{name.replace('_', '-')}"] for name in names]
+        assert {a.dest: a.choices for a in overrides if a.choices} == {
+            "cfg_fisher_mode": ("point", "two_sided"), "cfg_degenerate_policy": ("zeros", "error")}
+        # Each flag sets its own field.
+        required = ["--input", "in.jsonl", "--output", "out.jsonl"] if command == "compute" else []
+        for a in overrides:
+            name = a.dest[len("cfg_"):]
+            value = a.choices[-1] if a.choices else "0.25"
+            args = subparsers.choices[command].parse_args([*required, a.option_strings[0], value])
+            assert getattr(cli.resolve_config(args), name) == (value if a.choices else 0.25)
+
+    def test_rewards_whose_moments_overflow_give_a_record(self, tmp_path):
+        group = {"group_id": "huge", "rollouts": [{"tokens": [1, 2], "reward": 0.0},
+                                                   {"tokens": [1, 3], "reward": 1e300}]}
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps(group) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["compute", "--input", str(src), "--output", str(out)]) == 0
+        assert parse_advantage_record(read_lines(out)[0]).rollout_advantages == [-1.0, 1.0]
 
     def test_bad_config_file_exits_2(self, batch, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

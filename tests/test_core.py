@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ktae import (
     ConfigError,
-    ContingencyTable,
     DomainError,
     InvalidGroup,
     KtaeConfig,
@@ -18,7 +17,7 @@ from ktae import (
 )
 from ktae import core
 from ktae.core import validate_group
-from ktae.oracle import reference_advantages
+from ktae.oracle import ContingencyTable, reference_advantages
 from ktae.records import advantage_record_line
 
 from conftest import rollout_groups

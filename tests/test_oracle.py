@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ContingencyTable as CT
 from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import (
     brute_force_stats,
     compare_fast_vs_exact,
@@ -18,7 +18,7 @@ from ktae.oracle import (
 )
 from ktae import stats
 
-from conftest import rollout_groups
+from conftest import rollout_groups, table_at
 
 
 class TestFisherExactRational:
@@ -99,9 +99,9 @@ class TestBruteForceStats:
     @given(rollout_groups())
     @settings(max_examples=200)
     def test_pipeline_tables_match_naive_scans(self, group):
-        matrix = compute_advantages(group)
-        for token, stats in matrix.token_stats.items():
-            assert stats.table == brute_force_stats(group, token)
+        s = compute_advantages(group).token_stats
+        for token in s.tokens.tolist():
+            assert table_at(s, token) == brute_force_stats(group, token)
 
     def test_pipeline_tables_match_naive_scans_bulk(self):
         import numpy as np
@@ -111,9 +111,9 @@ class TestBruteForceStats:
         rng = np.random.default_rng(404)
         for i in range(1000):
             group = random_group(rng, f"bulk-{i}")
-            matrix = compute_advantages(group)
-            for token, stats in matrix.token_stats.items():
-                assert stats.table == brute_force_stats(group, token)
+            s = compute_advantages(group).token_stats
+            for token in s.tokens.tolist():
+                assert table_at(s, token) == brute_force_stats(group, token)
 
 
 @st.composite
@@ -151,14 +151,15 @@ class TestReferenceAdvantages:
         group, config = case
         matrix = compute_advantages(group, config)
         ref = reference_advantages(group, config)
-        assert list(matrix.token_stats) == list(ref.token_stats)
-        for token, want in ref.token_stats.items():
-            got = matrix.token_stats[token]
-            assert got.table == want.table
-            assert (got.tf_true, got.tf_false) == (want.tf_true, want.tf_false)
-            for name in ("fisher_p", "fisher_score", "info_gain", "tf_score_true", "tf_score_false",
-                         "direction", "key_token_value"):
-                assert _close(getattr(got, name), getattr(want, name)), (token, name)
+        got, want = matrix.token_stats, ref.token_stats
+        for name in ("tokens", "a", "b", "c", "d", "tf_true", "tf_false"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype == np.int64, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("fisher_p", "fisher_score", "info_gain", "tf_score_true", "tf_score_false",
+                     "direction", "key_token_value"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype == np.float64, name
+            for token, g, w in zip(want.tokens.tolist(), getattr(got, name).tolist(), getattr(want, name).tolist()):
+                assert _close(g, w), (token, name)
         assert all(map(_close, matrix.rollout_advantages.tolist(), ref.rollout_advantages))
         for i, rollout in enumerate(group.rollouts):
             delta = matrix.token_advantages[i] - matrix.rollout_advantages[i]
@@ -169,14 +170,15 @@ class TestReferenceAdvantages:
         rollouts = (Rollout((1, 7), 1.0), Rollout((1, 7, 7), 1.0), Rollout((1, 2), 0.0), Rollout((3,), 0.0))
         ref = reference_advantages(RolloutGroup("hand", rollouts))
         assert ref.rollout_advantages == (1.0, 1.0, -1.0, -1.0)
-        seven = ref.token_stats[7]
-        assert seven.table == CT(2, 0, 0, 2)
-        assert (seven.tf_true, seven.tf_false) == (3, 0)
-        assert seven.fisher_p == 1 / 6
-        assert seven.info_gain == 1.0
+        s = ref.token_stats
+        assert s.tokens.tolist() == [1, 2, 3, 7]
+        seven = s.index(7)
+        assert table_at(s, 7) == CT(2, 0, 0, 2)
+        assert (s.tf_true[seven], s.tf_false[seven]) == (3, 0)
+        assert s.fisher_p[seven] == 1 / 6
+        assert s.info_gain[seven] == 1.0
         assert ref.deltas[7] > 0 > ref.deltas[2]
-        one = ref.token_stats[1]
-        assert one.table == CT(2, 1, 0, 1) and one.key_token_value > 0
+        assert table_at(s, 1) == CT(2, 1, 0, 1) and s.key_token_value[s.index(1)] > 0
         assert ref.token_advantages[1] == (1.0 + ref.deltas[1], 1.0 + ref.deltas[7], 1.0 + ref.deltas[7])
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ktae import ContingencyTable as CT
 from ktae import stats
+from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import all_tables_with_total, fisher_exact_rational, fisher_two_sided_enum
 from ktae.stats import (
     binary_entropy_from_counts,
