@@ -337,7 +337,7 @@ class TestTokenStatsColumns:
         ints = {"tokens", "a", "b", "c", "d", "tf_true", "tf_false"}
         for f in fields(s):
             assert getattr(s, f.name).dtype == (np.int64 if f.name in ints else np.float64), f.name
-        assert not isinstance(s, Mapping)  # one row per lookup is not built
+        assert not isinstance(s, Mapping)  # columns only, no row view
 
     @pytest.mark.parametrize("key", [4, -3, 2**63, 2**70, "7", 7.0, None])
     def test_absent_or_foreign_keys_raise_key_error(self, key):
