@@ -13,7 +13,8 @@ Usage:
 
 import argparse
 
-from ktae import KtaeConfig, SynthSpec, generate, recovery_report
+from ktae import KtaeConfig
+from ktae.synth import SynthSpec, generate, recovery_report
 
 COMBOS = [
     ("full (1,2,1)", dict(h1=1.0, h2=2.0, h3=1.0)),

@@ -8,24 +8,17 @@ test, information gain), BM25-style term-frequency saturation, and a signed
 direction score, then shifted through a sigmoid into a bounded per-position
 delta.
 
-The names below are the public API. The array kernels live in
-``ktae.stats`` and ``ktae.frequency``, and the exact references that
-certify them in ``ktae.oracle``.
+The names below are what a trainer calls and the errors those calls raise.
+The array kernels live in ``ktae.stats``, ``ktae.frequency`` and
+``ktae.advantage`` (``sigmoid_shift``), the kernels' ``DomainError`` in
+``ktae.core``, the planted-token benchmark (``SynthSpec``, ``generate``,
+``recovery_report``) in ``ktae.synth``, and the exact references that
+certify the kernels in ``ktae.oracle``.
 """
 
-from .advantage import compute_advantages, dapo_admissible, grpo_advantages, sigmoid_shift
-from .core import (
-    AdvantageMatrix,
-    ConfigError,
-    DegenerateGroup,
-    DomainError,
-    InvalidGroup,
-    KtaeConfig,
-    KtaeError,
-    Rollout,
-    RolloutGroup,
-)
-from .synth import SynthSpec, generate, recovery_report
+from .advantage import compute_advantages, dapo_admissible, grpo_advantages
+from .core import (AdvantageMatrix, ConfigError, DegenerateGroup, InvalidGroup, KtaeConfig, KtaeError, Rollout,
+                   RolloutGroup)
 
 __version__ = "0.1.0"
 
@@ -33,17 +26,12 @@ __all__ = [
     "AdvantageMatrix",
     "ConfigError",
     "DegenerateGroup",
-    "DomainError",
     "InvalidGroup",
     "KtaeConfig",
     "KtaeError",
     "Rollout",
     "RolloutGroup",
-    "SynthSpec",
     "compute_advantages",
     "dapo_admissible",
-    "generate",
     "grpo_advantages",
-    "recovery_report",
-    "sigmoid_shift",
 ]

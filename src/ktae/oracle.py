@@ -116,7 +116,7 @@ class ReferenceAdvantages(NamedTuple):
     rollout_advantages: tuple[float, ...]
     token_advantages: tuple[tuple[float, ...], ...]
     token_stats: TokenStatsColumns
-    deltas: dict[int, float]  # sigmoid(key_token_value) - 0.5 per token id
+    deltas: np.ndarray  # sigmoid(key_token_value) - 0.5, read-only float64 aligned with token_stats.tokens
 
 
 def _entropy_bits(k: int, n: int) -> float:
@@ -135,16 +135,24 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
     information gain, term-frequency scores, direction and key-token-value
     from direct float formulas. Nothing is snapped to a grid, so values agree
     with compute_advantages to rounding, not bit for bit. Degenerate groups
-    go through the same math, as under degenerate_policy="zeros".
+    go through the same math, as under degenerate_policy="zeros". Rewards
+    whose exact-sum moments overflow float64 are first divided by their
+    largest magnitude, and std_epsilon with them.
     """
     config = config if config is not None else KtaeConfig()
     rewards = [r.reward for r in group.rollouts]
-    mean = math.fsum(rewards) / len(rewards)
-    std = math.sqrt(math.fsum((r - mean) ** 2 for r in rewards) / len(rewards))
-    if all(r == rewards[0] for r in rewards):
-        base = [0.0] * len(rewards)
-    else:
-        base = [(r - mean) / max(std, config.std_epsilon) for r in rewards]
+    base = [0.0] * len(rewards)
+    if any(r != rewards[0] for r in rewards):
+        for scale in (1.0, max(map(abs, rewards))):
+            scaled = [r / scale for r in rewards]
+            try:
+                mean = math.fsum(scaled) / len(scaled)
+                std = math.sqrt(math.fsum((r - mean) ** 2 for r in scaled) / len(scaled))
+            except OverflowError:
+                continue
+            if math.isfinite(std):  # r - mean itself can overflow to inf
+                break
+        base = [(r - mean) / max(std, config.std_epsilon / scale) for r in scaled]
 
     lengths = [len(r.tokens) for r in group.rollouts]
     len_avg = sum(lengths) / len(lengths)
@@ -190,7 +198,9 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
     token_stats = TokenStatsColumns(*(np.array(column, dtype=np.float64 if isinstance(column[0], float) else np.int64)
                                       for column in zip(*rows)))
     advantages = tuple(tuple(level + deltas[t] for t in r.tokens) for level, r in zip(base, group.rollouts))
-    return ReferenceAdvantages(tuple(base), advantages, token_stats, deltas)
+    delta_column = np.fromiter(deltas.values(), dtype=np.float64, count=len(deltas))  # sorted token order
+    delta_column.flags.writeable = False
+    return ReferenceAdvantages(tuple(base), advantages, token_stats, delta_column)
 
 
 def all_tables_with_total(n: int):

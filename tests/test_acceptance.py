@@ -9,22 +9,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ktae import (
-    KtaeConfig,
-    Rollout,
-    RolloutGroup,
-    SynthSpec,
-    compute_advantages,
-    dapo_admissible,
-    generate,
-    recovery_report,
-)
+from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages, dapo_admissible
 from ktae.cli import main
 from ktae.frequency import cohen_h_array, frequency_term_array
 from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import compare_fast_vs_exact
 from ktae.records import group_record_line, parse_advantage_record
 from ktae.stats import fisher_point_prob_array, fisher_score_array, info_gain_array
+from ktae.synth import SynthSpec, generate, recovery_report
 
 from conftest import at_one, parse_spans, random_group, random_tables
 

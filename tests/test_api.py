@@ -3,19 +3,31 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ktae
 
+# What a trainer calls, and the errors those calls raise.
 TOP_LEVEL = {
-    "AdvantageMatrix", "ConfigError", "DegenerateGroup", "DomainError", "InvalidGroup", "KtaeConfig",
-    "KtaeError", "Rollout", "RolloutGroup", "SynthSpec", "compute_advantages", "dapo_admissible", "generate",
-    "grpo_advantages", "recovery_report", "sigmoid_shift",
+    "AdvantageMatrix", "ConfigError", "DegenerateGroup", "InvalidGroup", "KtaeConfig", "KtaeError", "Rollout",
+    "RolloutGroup", "compute_advantages", "dapo_admissible", "grpo_advantages",
 }
 
 # Names that are not top-level but stay importable from their own modules.
 MODULE_LEVEL = [
+    # The planted-token benchmark harness, which no trainer call uses.
+    ("ktae.synth", "SynthSpec"),
+    ("ktae.synth", "generate"),
+    ("ktae.synth", "recovery_report"),
+    # A kernel, next to the other array kernels; compute_advantages applies it.
+    ("ktae.advantage", "sigmoid_shift"),
+    # Only the kernels and the oracle raise it: compute_advantages cannot.
+    ("ktae.core", "DomainError"),
     # RolloutGroup's constructor runs it, so no caller needs it.
     ("ktae.core", "validate_group"),
     # Only the oracle functions take or return a table; the pipeline keeps
@@ -104,7 +116,7 @@ REMOVED = [
 
 
 def test_all_is_the_pinned_set():
-    assert len(ktae.__all__) == len(TOP_LEVEL) == 16
+    assert len(ktae.__all__) == len(TOP_LEVEL) == 11
     assert set(ktae.__all__) == TOP_LEVEL
 
 
@@ -116,6 +128,7 @@ def test_every_top_level_name_resolves(name):
 @pytest.mark.parametrize("module, name", MODULE_LEVEL)
 def test_module_level_names_stay_importable(module, name):
     assert name not in ktae.__all__
+    assert not hasattr(ktae, name)
     assert getattr(importlib.import_module(module), name) is not None
 
 
@@ -143,3 +156,14 @@ def test_wire_format_module_does_not_import_the_pipeline():
 
     assert not hasattr(ktae.records, "SynthSpec")
     assert not hasattr(ktae.records, "compute_advantages")
+
+
+def test_import_ktae_loads_only_the_estimator_modules():
+    """The benchmark harness, the oracle, the wire format and the CLI load
+    only when imported by name."""
+    code = "import sys, ktae; print(sorted(m for m in sys.modules if m == 'ktae' or m.startswith('ktae.')))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['ktae', 'ktae.advantage', 'ktae.core', 'ktae.frequency', 'ktae.stats']\n"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae.core import DomainError
 from ktae.frequency import cohen_h_array, frequency_term_array, tf_score_array
 from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import raw_term_frequencies

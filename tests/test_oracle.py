@@ -4,10 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ktae import DomainError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae.core import DomainError
 from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import (
     brute_force_stats,
@@ -144,9 +145,17 @@ def _close(got: float, want: float) -> bool:
     return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def _group_of(rewards):
+    return RolloutGroup("ref", tuple(Rollout(tokens=(1, 2 + i), reward=r) for i, r in enumerate(rewards)))
+
+
 class TestReferenceAdvantages:
     @given(reference_cases())
     @settings(max_examples=300)
+    # Rewards whose moments overflow float64: both sides divide them by their largest magnitude.
+    @example((_group_of([0.0, 1e300]), KtaeConfig()))
+    @example((_group_of([-1.5e308, 1.5e308]), KtaeConfig()))
+    @example((_group_of([1.7e308, 1.7e308, -1e308]), KtaeConfig()))
     def test_pipeline_matches_the_per_token_reference(self, case):
         group, config = case
         matrix = compute_advantages(group, config)
@@ -163,7 +172,7 @@ class TestReferenceAdvantages:
         assert all(map(_close, matrix.rollout_advantages.tolist(), ref.rollout_advantages))
         for i, rollout in enumerate(group.rollouts):
             delta = matrix.token_advantages[i] - matrix.rollout_advantages[i]
-            assert [np.sign(x) for x in delta] == [np.sign(ref.deltas[t]) for t in rollout.tokens]
+            assert [np.sign(x) for x in delta] == [np.sign(ref.deltas[want.index(t)]) for t in rollout.tokens]
             assert all(map(_close, matrix.token_advantages[i].tolist(), ref.token_advantages[i]))
 
     def test_planted_split_by_hand(self):
@@ -172,14 +181,16 @@ class TestReferenceAdvantages:
         assert ref.rollout_advantages == (1.0, 1.0, -1.0, -1.0)
         s = ref.token_stats
         assert s.tokens.tolist() == [1, 2, 3, 7]
-        seven = s.index(7)
+        assert ref.deltas.dtype == np.float64 and ref.deltas.shape == s.tokens.shape
+        assert not ref.deltas.flags.writeable
+        one, seven = s.index(1), s.index(7)
         assert table_at(s, 7) == CT(2, 0, 0, 2)
         assert (s.tf_true[seven], s.tf_false[seven]) == (3, 0)
         assert s.fisher_p[seven] == 1 / 6
         assert s.info_gain[seven] == 1.0
-        assert ref.deltas[7] > 0 > ref.deltas[2]
-        assert table_at(s, 1) == CT(2, 1, 0, 1) and s.key_token_value[s.index(1)] > 0
-        assert ref.token_advantages[1] == (1.0 + ref.deltas[1], 1.0 + ref.deltas[7], 1.0 + ref.deltas[7])
+        assert ref.deltas[seven] > 0 > ref.deltas[s.index(2)]
+        assert table_at(s, 1) == CT(2, 1, 0, 1) and s.key_token_value[one] > 0
+        assert ref.token_advantages[1] == (1.0 + ref.deltas[one], 1.0 + ref.deltas[seven], 1.0 + ref.deltas[seven])
 
 
 class TestCompareFastVsExact:

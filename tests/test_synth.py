@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ConfigError, KtaeConfig, SynthSpec, dapo_admissible, generate, recovery_report
+from ktae import ConfigError, KtaeConfig, dapo_admissible
 from ktae.core import validate_group
-from ktae.synth import MAX_SPEC_TOKENS
+from ktae.synth import MAX_SPEC_TOKENS, SynthSpec, generate, recovery_report
 
 SMALL = SynthSpec(num_groups=12, base_vocab=60, rollout_len_range=(10, 16))
 SPEC_FIELDS = [f.name for f in dataclasses.fields(SynthSpec)]
