@@ -27,6 +27,7 @@ import numpy as np
 
 from . import frequency, stats
 from .core import (
+    MAX_TOKEN_ID,
     AdvantageMatrix,
     DegenerateGroup,
     InvalidGroup,
@@ -40,9 +41,11 @@ from .core import (
 DELTA_MAX = math.nextafter(0.5, 0.0)
 
 # Table statistics per margin (n_T, n_F, fisher_mode), one lattice cell per
-# table; whole margins are evicted least recently used past the cell budget.
-# A margin holds 4 bytes per lattice cell and 32 per cell evaluated.
-_MEMO_CELLS = 1 << 18
+# table; whole margins are evicted least recently used past the byte budget.
+# A margin holds 4 bytes per lattice cell and 32 per cell evaluated. All 257
+# margins of G=256 take 22.9 MB of lattice in both Fisher modes, which leaves
+# room for about 1.4 million evaluated cells.
+_MEMO_BYTES = 1 << 26
 _memo: OrderedDict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _memo_lock = threading.Lock()
 
@@ -101,23 +104,38 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
 def _count_occurrences(group: RolloutGroup, sizes: list[int]):
     """Occurrence counts of every distinct token in ``group.token_ids``.
 
-    ``np.unique`` gives the sorted distinct ``tokens`` and each position's
-    ``token_index``. One ``np.bincount`` of the keys ``token_index * 2 + side``
-    (side 1 if incorrect) gives each token's occurrences per side (tf_true,
-    tf_false), and one of the distinct ``key * G + rollout`` pairs the rollouts
-    containing it per side (a, b). Also returns each position's ``rollout``.
+    One ``np.sort`` of the keys ``id << shift | position``, where ``shift`` is
+    the bit length of the position count, lists each token's positions in
+    rollout order; an id above ``MAX_TOKEN_ID >> shift`` does not fit beside a
+    position, so then the key holds its rank from ``np.unique`` instead. The
+    low bits give the positions by token (``order``), and a running count of
+    token changes each one's ``rank`` in the sorted distinct ``tokens``. One
+    ``np.bincount`` of ``rank * 2 + side`` (side 1 if incorrect) gives each
+    token's occurrences per side (tf_true, tf_false), and one of the same keys
+    where the token or the rollout changes its rollouts per side (a, b). Also
+    returns ``order``, ``rank`` and each sorted position's ``rollout``.
     """
-    tokens, token_index = np.unique(group.token_ids, return_inverse=True)
-    rollout = np.repeat(np.arange(group.size), sizes)
-    side_key = token_index * 2 + np.logical_not(group.correct_mask)[rollout]
+    ids = group.token_ids
+    shift = ids.size.bit_length()
+    tokens = None
+    if ids.max() > MAX_TOKEN_ID >> shift:
+        tokens, ids = np.unique(ids, return_inverse=True)
+    keys = np.sort(ids << shift | np.arange(ids.size))
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    new_token = np.empty(keys.size, dtype=bool)
+    new_token[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_token[1:])
+    if tokens is None:
+        tokens = keys[new_token]
+    rank = np.cumsum(new_token) - 1
+    rollout = np.repeat(np.arange(group.size), sizes)[order]
+    side_key = rank * 2 + np.logical_not(group.correct_mask)[rollout]
     m2 = 2 * tokens.size
     tf_true, tf_false = np.bincount(side_key, minlength=m2).reshape(-1, 2).T
-    pairs = np.sort(side_key * group.size + rollout)
-    new_pair = np.empty(pairs.size, dtype=bool)
-    new_pair[0] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=new_pair[1:])
-    a, b = np.bincount(pairs[new_pair] // group.size, minlength=m2).reshape(-1, 2).T
-    return tokens, rollout, token_index, a, b, tf_true, tf_false
+    new_token[1:] |= rollout[1:] != rollout[:-1]
+    a, b = np.bincount(side_key[new_token], minlength=m2).reshape(-1, 2).T
+    return tokens, order, rank, rollout, a, b, tf_true, tf_false
 
 
 def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) -> AdvantageMatrix:
@@ -156,32 +174,45 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
 def _refine(group: RolloutGroup, config: KtaeConfig, baseline: np.ndarray, sizes: list[int]):
     """The token-level kernel: the snapped baselines, every position's
     advantage as one flat array, and a builder of the token statistics."""
-    tokens, rollout, token_index, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
+    tokens, order, rank, rollout, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
     n_true = group.num_correct
     n_false = group.size - n_true
 
     values, index = _table_stats(n_true, n_false, config.fisher_mode, a * (n_false + 1) + b)
-    # Strength once per evaluated cell, then gathered with Cohen's h.
-    strength = (config.h1 * values[1] + config.h2 * values[2])[index]
-
     # Mean rollout lengths from exact integer sums. An empty side's TF counts
     # are all 0, so the group mean standing in for its length never shows.
     total = sum(sizes)
     total_true = sum(itertools.compress(sizes, group.correct_mask))
     len_avg = total / group.size
-    tfs_true = _tf_scores(tf_true, total_true / n_true if n_true else len_avg, len_avg, config)
-    tfs_false = _tf_scores(tf_false, (total - total_true) / n_false if n_false else len_avg, len_avg, config)
-    direction = values[3][index] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
-    ktv = strength * direction
+    lengths = (total_true / n_true if n_true else len_avg,
+               (total - total_true) / n_false if n_false else len_avg, len_avg)
+    ktv = _token_values(values, index, tf_true, tf_false, lengths, config)[-1]
     base, delta = _snap_to_group_grid(baseline, sigmoid_shift(ktv))
+    # The statistics keep the counts and are rebuilt from them when first read.
     stats = functools.partial(_stats_columns, tokens, a, b, n_true, n_false, values, index,
-                              tf_true, tf_false, tfs_true, tfs_false, direction, ktv)
-    return base, base[rollout] + delta[token_index], stats
+                              tf_true, tf_false, lengths, config)
+    flat = np.empty(order.size)
+    flat[order] = base[rollout] + delta[rank]
+    return base, flat, stats
 
 
-def _stats_columns(tokens, a, b, n_true, n_false, values, index, *tf_to_ktv) -> TokenStatsColumns:
+def _token_values(values, index, tf_true, tf_false, lengths, config: KtaeConfig):
+    """Each token's TF scores, direction and key-token-value, from its memo
+    column, TF counts and the (correct, incorrect, group) mean lengths."""
+    len_true, len_false, len_avg = lengths
+    tfs_true = _tf_scores(tf_true, len_true, len_avg, config)
+    tfs_false = _tf_scores(tf_false, len_false, len_avg, config)
+    direction = values[3][index] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
+    # Strength once per evaluated cell, then gathered with Cohen's h.
+    strength = (config.h1 * values[1] + config.h2 * values[2])[index]
+    return tfs_true, tfs_false, direction, strength * direction
+
+
+def _stats_columns(tokens, a, b, n_true, n_false, values, index, tf_true, tf_false, lengths,
+                   config) -> TokenStatsColumns:
     """Token statistics from a call's counts and the memo rows it gathered."""
-    return TokenStatsColumns(tokens, a, b, n_true - a, n_false - b, *values[:3, index], *tf_to_ktv)
+    return TokenStatsColumns(tokens, a, b, n_true - a, n_false - b, *values[:3, index], tf_true, tf_false,
+                             *_token_values(values, index, tf_true, tf_false, lengths, config))
 
 
 def _degenerate_stats(group: RolloutGroup, config: KtaeConfig, baseline: np.ndarray, sizes: list[int]):
@@ -202,15 +233,12 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):
     key = (n_true, n_false, fisher_mode)
     with _memo_lock:
         entry = _memo.pop(key, None)
-        if entry is None:
+        grown = entry is None
+        if grown:
             # slot[cell] is the cell's column in values; column 0 stands for
             # "not evaluated yet". Only evaluated cells take value memory, so
             # a cold call touches few fresh pages.
-            size = (n_true + 1) * (n_false + 1)
-            entry = np.zeros(size, dtype=np.int32), np.zeros((4, 1))
-            held = sum(slot.size for slot, _ in _memo.values())
-            while _memo and held + size > _MEMO_CELLS:
-                held -= _memo.popitem(last=False)[1][0].size
+            entry = np.zeros((n_true + 1) * (n_false + 1), dtype=np.int32), np.zeros((4, 1))
         slot, values = entry
         index = slot[cell]
         missing = index == 0
@@ -229,7 +257,14 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):
             values = np.concatenate((values, (p, stats.fisher_score_array(p), stats.info_gain_array(ta, tb, tc, td),
                                               frequency.cohen_h_array(ta, tb, tc, td))), axis=1)
             index = slot[cell]
-        if slot.size <= _MEMO_CELLS:  # a margin over the whole budget is evaluated, not held
+            grown = True
+        held = slot.nbytes + values.nbytes
+        if held <= _MEMO_BYTES:  # a margin over the whole budget is evaluated, not held
+            if grown:  # make room for the margin's new bytes
+                held += sum(s.nbytes + v.nbytes for s, v in _memo.values())
+                while held > _MEMO_BYTES:
+                    s, v = _memo.popitem(last=False)[1]
+                    held -= s.nbytes + v.nbytes
             _memo[key] = slot, values
         return values, index
 

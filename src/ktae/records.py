@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, KtaeError, Rollout, RolloutGroup
+from .core import MAX_TOKEN_ID, ConfigError, KtaeError, Rollout, RolloutGroup
 
 TOKEN_STAT_KEYS = ("a", "b", "c", "d", "p", "F", "IG", "TF_T", "TF_F", "D", "ktv")
 
@@ -197,8 +197,11 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
         for key, entry in stats.items():
             try:
                 tok = int(key)
-            except ValueError:
-                raise RecordError(f"token_stats key {key!r} is not an integer token id") from None
+            except ValueError:  # not an integer, or over Python's digit limit
+                tok = -1
+            # Only the canonical decimal: int() also takes "010", " 7 " and "1_0", which would merge keys.
+            _require(str(tok) == key and 0 <= tok <= MAX_TOKEN_ID,
+                     f"token_stats key {key!r} is not a token id in canonical decimal")
             _require(isinstance(entry, dict), f"token_stats[{key}] must be an object")
             _require(_is_finite(entry.get("ktv", 0.0)), f"token_stats[{key}].ktv must be a finite number")
             parsed_stats[tok] = entry

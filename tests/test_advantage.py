@@ -1,7 +1,12 @@
+import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import threading
+import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import fields
@@ -9,6 +14,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from ktae import (
     ConfigError,
@@ -23,14 +33,16 @@ from ktae import (
 )
 from ktae import advantage, core, frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid_shift
-from ktae.oracle import ContingencyTable as CT
+from ktae.oracle import ContingencyTable as CT, brute_force_stats, raw_term_frequencies, reference_advantages
 from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
 
 from conftest import at_one, rollout_groups, table_at
 from test_golden import GOLDEN_SHA256, WIDE_SHA256, compute_sha256, golden_groups, wide_groups
+from test_oracle import _close
 
 SQRT3 = math.sqrt(3.0)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def empty_memo(monkeypatch):
@@ -42,6 +54,25 @@ def matrix_bytes(matrix):
     """Every array of an AdvantageMatrix, as bytes."""
     return [matrix.rollout_advantages.tobytes(), *(row.tobytes() for row in matrix.token_advantages),
             *(getattr(matrix.token_stats, f.name).tobytes() for f in fields(matrix.token_stats))]
+
+
+def memo_bytes():
+    """Bytes the table-statistics memo holds."""
+    return sum(slot.nbytes + values.nbytes for slot, values in advantage._memo.values())
+
+
+def count_kernel_rows(monkeypatch):
+    """A list that gets the row count of every table-statistics kernel call."""
+    rows = []
+    for name in ("fisher_point_prob_array", "fisher_two_sided_prob_array", "info_gain_array"):
+        kernel = getattr(stats, name)
+
+        def counted(a, *args, _kernel=kernel, **kwargs):
+            rows.append(len(a))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(stats, name, counted)
+    return rows
 
 
 def binary_group(flags, token_lists, group_id="g"):
@@ -430,15 +461,7 @@ class TestWorkCount:
     def test_kernels_see_one_row_per_table(self, monkeypatch, shape, fisher_mode):
         """A cold call evaluates each table once; a warm call on the same group evaluates none."""
         group = next(iter(generate(self.GROUPS[shape])))
-        rows = []
-        for name in ("fisher_point_prob_array", "fisher_two_sided_prob_array", "info_gain_array"):
-            kernel = getattr(stats, name)
-
-            def counted(a, *args, _kernel=kernel, **kwargs):
-                rows.append(len(a))
-                return _kernel(a, *args, **kwargs)
-
-            monkeypatch.setattr(stats, name, counted)
+        rows = count_kernel_rows(monkeypatch)
         s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
         tables = len(set(zip(s.a.tolist(), s.b.tolist())))
         assert s.tokens.size > tables  # the shape must share tables between tokens
@@ -446,6 +469,81 @@ class TestWorkCount:
         rows.clear()
         compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
         assert rows == []
+
+
+@st.composite
+def bound_groups(draw):
+    """Groups of 2-256 rollouts of 1-8 tokens over a few ids, so that ids
+    repeat within rollouts, with the largest id a key packs beside a position
+    and, in some groups, the next id and 2^63-1; rewards binary."""
+    g = draw(st.integers(2, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.integers(1, 9, size=g)
+    bound = core.MAX_TOKEN_ID >> int(lengths.sum()).bit_length()
+    above = draw(st.sampled_from([[], [bound + 1], [core.MAX_TOKEN_ID], [bound + 1, core.MAX_TOKEN_ID]]))
+    pool = np.array([0, 1, 2, bound - 1, bound, *above, *rng.integers(0, bound, size=draw(st.integers(0, 20)))])
+    rollouts = tuple(Rollout(tuple(rng.choice(pool, size=n).tolist()), float(rng.integers(0, 2))) for n in lengths)
+    return RolloutGroup("bound", rollouts)
+
+
+# Run in a fresh process: the integer columns of each SynthSpec's group, by sha256.
+COUNT_SCRIPT = """
+import hashlib, sys
+from ktae import compute_advantages
+from ktae.synth import SynthSpec, generate
+for spec in sys.argv[1:]:
+    s = compute_advantages(next(iter(generate(eval(spec))))).token_stats
+    print(*(hashlib.sha256(getattr(s, name).tobytes()).hexdigest() for name in INT_COLUMNS))
+"""
+INT_COLUMNS = ("tokens", "a", "b", "c", "d", "tf_true", "tf_false")
+
+
+class TestCount:
+    """Occurrence counting: one sort of packed (id, position) keys, or of
+    (rank, position) keys where an id does not fit beside a position."""
+
+    @given(bound_groups())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_naive_scans(self, group):
+        matrix = compute_advantages(group)
+        s = matrix.token_stats
+        assert s.tokens.tolist() == sorted(set(group.token_ids.tolist()))
+        for i, token in enumerate(s.tokens.tolist()):
+            assert table_at(s, token) == brute_force_stats(group, token)
+            assert (s.tf_true[i], s.tf_false[i]) == raw_term_frequencies(group, token)
+        ref = reference_advantages(group)
+        for i, rollout in enumerate(group.rollouts):
+            got = (matrix.token_advantages[i] - matrix.rollout_advantages[i]).tolist()
+            want = ref.deltas[ref.token_stats.tokens.searchsorted(rollout.tokens)].tolist()
+            if not dapo_admissible(group):
+                want = [0.0] * len(want)
+            assert all(map(_close, got, want)), i
+
+    @given(kernel_groups(), st.sampled_from(["point", "two_sided"]))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_keys_give_the_packed_bytes(self, group, fisher_mode):
+        config = KtaeConfig(fisher_mode=fisher_mode)
+        packed = matrix_bytes(compute_advantages(group, config))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(advantage, "MAX_TOKEN_ID", -1)  # no id fits beside a position
+            unique = np.unique
+            ranked = []
+            mp.setattr(np, "unique", lambda *args, **kwargs: ranked.append(1) or unique(*args, **kwargs))
+            assert matrix_bytes(compute_advantages(group, config)) == packed
+        assert ranked
+
+    @pytest.mark.skipif(not __cpu_features__.get("AVX512F"), reason="numpy takes no AVX-512 path on this CPU")
+    def test_counts_do_not_depend_on_cpu_dispatch(self):
+        """np.sort takes its AVX2 path with AVX-512 disabled; the integer
+        columns keep their bytes (float columns may not, see README)."""
+        specs = [repr(TestWorkCount.GROUPS[name]) for name in ("tall", "wide")]
+        env = dict(os.environ, PYTHONPATH=SRC, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        result = subprocess.run([sys.executable, "-c", f"INT_COLUMNS = {INT_COLUMNS!r}\n" + COUNT_SCRIPT, *specs],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        for spec, line in zip(specs, result.stdout.splitlines(), strict=True):
+            s = compute_advantages(next(iter(generate(eval(spec))))).token_stats
+            assert line.split() == [hashlib.sha256(getattr(s, name).tobytes()).hexdigest() for name in INT_COLUMNS]
 
 
 @st.composite
@@ -501,8 +599,8 @@ class TestMemo:
 
     def test_cells_held_stay_within_the_budget(self, monkeypatch):
         empty_memo(monkeypatch)
-        budget = 200
-        monkeypatch.setattr(advantage, "_MEMO_CELLS", budget)
+        budget = 2000
+        monkeypatch.setattr(advantage, "_MEMO_BYTES", budget)
         first = binary_group([True] * 3 + [False] * 3, [(1, 2), (2, 3), (3,), (1, 4), (4, 5), (2, 5)])
         expected = matrix_bytes(compute_advantages(first))
         assert (3, 3, "point") in advantage._memo
@@ -510,8 +608,7 @@ class TestMemo:
             group = binary_group([i % 2 == 0 for i in range(g)], [(i % 5, i % 3 + 7) for i in range(g)])
             for fisher_mode in ("point", "two_sided"):
                 compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
-                held = sum(slot.size for slot, _ in advantage._memo.values())
-                assert held <= budget
+                assert memo_bytes() <= budget
         assert (3, 3, "point") not in advantage._memo  # evicted, so recomputed below
         assert matrix_bytes(compute_advantages(first)) == expected
 
@@ -520,10 +617,28 @@ class TestMemo:
         empty_memo(monkeypatch)
         expected = matrix_bytes(compute_advantages(group))
         empty_memo(monkeypatch)
-        monkeypatch.setattr(advantage, "_MEMO_CELLS", 80)  # the (8, 8) lattice has 81 cells
+        monkeypatch.setattr(advantage, "_MEMO_BYTES", 324)  # the (8, 8) lattice alone takes 81 * 4 bytes
+        compute_advantages(binary_group([True, False], [(1,), (2,)]))
         for _ in range(2):
             assert matrix_bytes(compute_advantages(group)) == expected
-            assert not advantage._memo
+            assert list(advantage._memo) == [(1, 1, "point")]  # nothing was evicted for it
+
+    def test_a_sweep_over_g256_margins_stays_warm(self, monkeypatch):
+        """217 margins of G=256 in both Fisher modes fit the budget: a
+        second pass over them evaluates no table."""
+        empty_memo(monkeypatch)
+        rng = np.random.default_rng(3)
+        tokens = [tuple(rng.integers(0, 50, size=8).tolist()) for _ in range(256)]
+        groups = [binary_group([i < n_true for i in range(256)], tokens) for n_true in range(20, 237)]
+        calls = count_kernel_rows(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            for group in groups:
+                for fisher_mode in ("point", "two_sided"):
+                    compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
+        assert calls == []
+        assert len(advantage._memo) == 2 * len(groups)
+        assert memo_bytes() <= advantage._MEMO_BYTES
 
     def test_concurrent_calls_give_the_serial_bytes(self, monkeypatch):
         jobs = [
@@ -610,6 +725,22 @@ class TestPlainPath:
         with pytest.MonkeyPatch.context() as mp:
             full_kernel(mp)
             assert matrix_bytes(compute_advantages(group, config)) == short
+
+    def test_a_held_matrix_keeps_counts_not_statistics(self):
+        """Unread statistics cost a held matrix its counts only: at most 6x
+        its advantage bytes on a wide group (44 bytes per distinct token
+        against 8 per position)."""
+        group = next(iter(generate(TestWorkCount.GROUPS["wide"])))
+        compute_advantages(group)  # the memo is warm
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrices = [compute_advantages(group) for _ in range(4)]
+            held = (tracemalloc.get_traced_memory()[0] - before) / len(matrices)
+        finally:
+            tracemalloc.stop()
+        advantage_bytes = sum(row.nbytes for row in matrices[0].token_advantages)
+        assert held <= 6 * advantage_bytes
 
     def test_statistics_read_after_the_margin_is_evicted(self, monkeypatch):
         empty_memo(monkeypatch)

@@ -517,6 +517,20 @@ class TestVisualize:
         assert err == f"error: RecordError: {adv} line 1: {message.format(key=key)}\n"
         assert not html_path.exists()
 
+    @pytest.mark.parametrize("key", ["1_0", " 7 ", "010", "-3"])
+    def test_non_canonical_stat_key_is_one_record_error(self, batch, tmp_path, capsys, key):
+        adv = tmp_path / "adv.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(adv), "--stats"]) == 0
+        record = json.loads(read_lines(adv)[0])
+        record["token_stats"][key] = next(iter(record["token_stats"].values()))
+        adv.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        code = main(["visualize", "--input", str(batch), "--advantages", str(adv),
+                     "--group", record["group_id"], "--output", str(tmp_path / "heat.html")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: RecordError: {adv} line 1: token_stats key {key!r} "
+                                           "is not a token id in canonical decimal\n")
+
     def test_missing_texts_exits_1(self, tmp_path, capsys):
         group = {
             "group_id": "plain",

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ class TestAdvantageRecords:
         )
         with pytest.raises(RecordError):
             parse_advantage_record(line)
+
+    @pytest.mark.parametrize("key", ["1_0", " 7 ", "010", "-3", "+7", str(2**63), "1" * 5000])
+    def test_non_canonical_stat_keys_are_rejected(self, key):
+        line = json.dumps({"group_id": "g", "rollout_advantages": [0.0], "token_advantages": [[0.0]],
+                           "token_stats": {key: {}, "10": {}}})
+        with pytest.raises(RecordError, match=re.escape(f"token_stats key {key!r} is not")):
+            parse_advantage_record(line)
+
+    def test_canonical_stat_keys_are_kept_apart(self):
+        line = json.dumps({"group_id": "g", "rollout_advantages": [0.0], "token_advantages": [[0.0]],
+                           "token_stats": {"0": {"ktv": 1.0}, "10": {"ktv": 2.0}, str(MAX_TOKEN_ID): {}}})
+        assert parse_advantage_record(line).token_stats == {0: {"ktv": 1.0}, 10: {"ktv": 2.0}, MAX_TOKEN_ID: {}}
 
     def test_non_integer_stat_keys_are_rejected(self):
         line = json.dumps(
