@@ -486,16 +486,16 @@ def bound_groups(draw):
     return RolloutGroup("bound", rollouts)
 
 
+INT_COLUMNS = ("tokens", "a", "b", "c", "d", "tf_true", "tf_false")
 # Run in a fresh process: the integer columns of each SynthSpec's group, by sha256.
-COUNT_SCRIPT = """
+COUNT_SCRIPT = f"""
 import hashlib, sys
 from ktae import compute_advantages
 from ktae.synth import SynthSpec, generate
 for spec in sys.argv[1:]:
     s = compute_advantages(next(iter(generate(eval(spec))))).token_stats
-    print(*(hashlib.sha256(getattr(s, name).tobytes()).hexdigest() for name in INT_COLUMNS))
+    print(*(hashlib.sha256(getattr(s, name).tobytes()).hexdigest() for name in {INT_COLUMNS!r}))
 """
-INT_COLUMNS = ("tokens", "a", "b", "c", "d", "tf_true", "tf_false")
 
 
 class TestCount:
@@ -538,8 +538,7 @@ class TestCount:
         columns keep their bytes (float columns may not, see README)."""
         specs = [repr(TestWorkCount.GROUPS[name]) for name in ("tall", "wide")]
         env = dict(os.environ, PYTHONPATH=SRC, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-        result = subprocess.run([sys.executable, "-c", f"INT_COLUMNS = {INT_COLUMNS!r}\n" + COUNT_SCRIPT, *specs],
-                                capture_output=True, text=True, env=env)
+        result = subprocess.run([sys.executable, "-c", COUNT_SCRIPT, *specs], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         for spec, line in zip(specs, result.stdout.splitlines(), strict=True):
             s = compute_advantages(next(iter(generate(eval(spec))))).token_stats
