@@ -49,14 +49,25 @@ def _is_finite(value) -> bool:
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _parse_json_line(line: str) -> dict:
+def _parse_json_line(line: str, object_pairs_hook=None) -> dict:
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, object_pairs_hook=object_pairs_hook)
     except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
         raise RecordError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise RecordError("invalid JSON: nesting too deep") from None
     _require(isinstance(obj, dict), "record must be a JSON object")
+    return obj
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; RecordError if it names a key twice, which
+    json.loads would otherwise merge into the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise RecordError(f"key {key!r} appears twice in one object")
     return obj
 
 
@@ -173,7 +184,7 @@ def _dumps(obj) -> str:
 
 
 def parse_advantage_record(line: str) -> AdvantageRecord:
-    obj = _parse_json_line(line)
+    obj = _parse_json_line(line, _unique_keys)
     group_id = obj.get("group_id")
     _require(isinstance(group_id, str), "group_id must be a string")
     rollout_adv = obj.get("rollout_advantages")

@@ -531,6 +531,22 @@ class TestVisualize:
         assert capsys.readouterr().err == (f"error: RecordError: {adv} line 1: token_stats key {key!r} "
                                            "is not a token id in canonical decimal\n")
 
+    def test_repeated_stat_key_is_one_record_error(self, batch, tmp_path, capsys):
+        adv = tmp_path / "adv.jsonl"
+        assert main(["compute", "--input", str(batch), "--output", str(adv), "--stats"]) == 0
+        lines = read_lines(adv)
+        key, entry = next(iter(json.loads(lines[1])["token_stats"].items()))
+        # json.dumps cannot repeat a key, so the first entry is written twice by hand
+        head = '"token_stats":{'
+        lines[1] = lines[1].replace(head, head + json.dumps(key) + ":" + json.dumps(entry) + ",", 1)
+        adv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["visualize", "--input", str(batch), "--advantages", str(adv),
+                     "--group", json.loads(lines[1])["group_id"], "--output", str(tmp_path / "heat.html")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: RecordError: {adv} line 2: key {key!r} appears twice in one object\n"
+        assert not (tmp_path / "heat.html").exists()
+
     def test_missing_texts_exits_1(self, tmp_path, capsys):
         group = {
             "group_id": "plain",

@@ -185,6 +185,18 @@ class TestAdvantageRecords:
                            "token_stats": {"0": {"ktv": 1.0}, "10": {"ktv": 2.0}, str(MAX_TOKEN_ID): {}}})
         assert parse_advantage_record(line).token_stats == {0: {"ktv": 1.0}, 10: {"ktv": 2.0}, MAX_TOKEN_ID: {}}
 
+    @pytest.mark.parametrize("key, line", [
+        ("10", '{"group_id": "g", "rollout_advantages": [0.0], "token_advantages": [[0.0]], '
+               '"token_stats": {"10": {"ktv": 1.0}, "10": {"ktv": 2.0}}}'),
+        ("ktv", '{"group_id": "g", "rollout_advantages": [0.0], "token_advantages": [[0.0]], '
+                '"token_stats": {"10": {"ktv": 1.0, "ktv": 2.0}}}'),
+        ("group_id", '{"group_id": "h", "group_id": "g", "rollout_advantages": [0.0], "token_advantages": [[0.0]]}'),
+    ], ids=["token-id", "stat", "field"])
+    def test_repeated_keys_are_rejected(self, key, line):
+        # json.loads alone would keep the last value of each repeated key
+        with pytest.raises(RecordError, match=re.escape(f"key {key!r} appears twice in one object")):
+            parse_advantage_record(line)
+
     def test_non_integer_stat_keys_are_rejected(self):
         line = json.dumps(
             {
