@@ -249,10 +249,7 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):
             todo = todo[np.concatenate(([True], todo[1:] != todo[:-1]))]
             ta, tb = np.divmod(todo, n_false + 1)
             tc, td = n_true - ta, n_false - tb
-            if fisher_mode == "two_sided":
-                p = stats.fisher_two_sided_prob_array(ta, tb, tc, td)
-            else:
-                p = stats.fisher_point_prob_array(ta, tb, tc, td)
+            p = stats.fisher_prob_array(n_true, n_false, ta, tb, fisher_mode)
             slot[todo] = np.arange(values.shape[1], values.shape[1] + todo.size)
             values = np.concatenate((values, (p, stats.fisher_score_array(p), stats.info_gain_array(ta, tb, tc, td),
                                               frequency.cohen_h_array(ta, tb, tc, td))), axis=1)

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
-    p_oracle = sub.add_parser("oracle-check", help="compare the fast Fisher path against the exact oracle")
+    p_oracle = sub.add_parser("oracle-check", help="compare the package's Fisher p against the exact oracle")
     p_oracle.add_argument("--max-n", type=int, default=16, help=f"largest table total to check (<= {MAX_EXACT_N})")
     p_oracle.set_defaults(func=cmd_oracle_check)
 

@@ -1,12 +1,16 @@
 """Association-strength statistics per token: Fisher's exact test and
 information gain over 2x2 contingency tables.
 
-Factorials are evaluated in log space (sums and differences of ln-gamma) so
-the point hypergeometric probability stays accurate for any group size; a
-chi-squared approximation would be unreliable at the small sample counts
-(8-16 rollouts) this package is built for. Each statistic has exactly one
-kernel, vectorized over the four cell arrays (a, b, c, d) of many tables;
-the exact references that certify them live in ``ktae.oracle``.
+Fisher's p is computed from Python integers: the binomial coefficients of a
+margin are built once per call, same-margin tables are compared by their
+integer numerators over one shared denominator, and the one final
+``int / int`` division is correctly rounded. So p is the nearest double to
+the exact rational at any group size, ties are decided exactly, and no bit
+depends on CPU dispatch; a chi-squared approximation would be unreliable at
+the small sample counts (8-16 rollouts) this package is built for. Each
+other statistic has exactly one kernel, vectorized over the four cell arrays
+(a, b, c, d) of many tables; the exact references that certify them live in
+``ktae.oracle``.
 """
 
 from __future__ import annotations
@@ -15,67 +19,43 @@ import math
 
 import numpy as np
 
-# Smallest positive double: probabilities are floored here so exp underflow
-# can never push them to an exact 0, which sits outside fisher_score_array's domain.
+# Smallest positive double: probabilities are floored here so a quotient that
+# underflows (thousands of rollouts) is never an exact 0, which sits outside
+# fisher_score_array's domain.
 _TINY = math.nextafter(0.0, 1.0)
 
-# Relative slack when deciding whether an enumerated table is "at most as
-# likely" as the observed one; absorbs last-ulp noise on exact ties.
-_TIE_SLACK = 1e-7
+
+def _binomial_row(n: int) -> list[int]:
+    """C(n, k) for k = 0 .. n, by the exact multiplicative recurrence."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
 
 
-_ln_factorial = np.empty(0)  # ln(n!) = lgamma(n+1) for n = 0 .. len - 1, read-only
+def fisher_prob_array(n_true: int, n_false: int, a: np.ndarray, b: np.ndarray, fisher_mode: str) -> np.ndarray:
+    """Fisher's test probability of each table (a, b, n_true - a, n_false - b)
+    of one margin, where a and b count the correct and incorrect rollouts
+    that contain a token.
 
-
-def _ln_factorials(max_n: int) -> np.ndarray:
-    """The shared ln-factorial array, grown (never shrunk) to cover 0 .. max_n."""
-    global _ln_factorial
-    if len(_ln_factorial) <= max_n:
-        size = max(max_n, 2 * (len(_ln_factorial) - 1)) + 1
-        _ln_factorial = np.array([math.lgamma(i + 1) for i in range(size)], dtype=np.float64)
-        _ln_factorial.flags.writeable = False
-    return _ln_factorial
-
-
-_ln_factorials(256)  # built at import, so no call pays for the common sizes
-
-
-def _ln_comb(lf: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return lf[n] - lf[k] - lf[n - k]
-
-
-def fisher_point_prob_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Point hypergeometric probability, vectorized over tables.
-
-    exp( lnC(a+b, a) + lnC(c+d, c) - lnC(n, a+c) ), clamped into (0, 1].
-    Degenerate rows or columns cancel exactly and give 1.
+    The point probability is C(n_true, a) * C(n_false, b) / C(n, a + b).
+    "two_sided" sums it over every same-margin table (same a + b) no more
+    likely than the observed one, ties included. Sums are exact, the one
+    division is correctly rounded, and p is floored at the smallest positive
+    double.
     """
-    n = a + b + c + d
-    lf = _ln_factorials(int(n.max(initial=0)))
-    log_p = _ln_comb(lf, a + b, a) + _ln_comb(lf, c + d, c) - _ln_comb(lf, n, a + c)
-    return np.clip(np.exp(log_p), _TINY, 1.0)
-
-
-def fisher_two_sided_prob_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Two-sided test probability: mass of all same-margin tables no more
-    likely than the observed one (ties included up to a tiny relative slack).
-    """
-    n = a + b + c + d
-    observed = fisher_point_prob_array(a, b, c, d)
-    r1 = a + b
-    c1 = a + c
-    lo = np.maximum(0, r1 - (n - c1))
-    hi = np.minimum(r1, c1)
-    total = np.zeros(observed.shape, dtype=np.float64)
-    for k in range(int(hi.max(initial=-1)) + 1):
-        valid = (k >= lo) & (k <= hi)
-        ak = np.where(valid, k, 0)
-        bk = np.where(valid, r1 - k, 0)
-        ck = np.where(valid, c1 - k, 0)
-        dk = np.where(valid, n - r1 - c1 + k, 0)
-        p_k = fisher_point_prob_array(ak, bk, ck, dk)
-        total += np.where(valid & (p_k <= observed * (1.0 + _TIE_SLACK)), p_k, 0.0)
-    return np.clip(total, _TINY, 1.0)
+    row_t, row_f, row_n = _binomial_row(n_true), _binomial_row(n_false), _binomial_row(n_true + n_false)
+    numerators: dict[int, list[int]] = {}  # a + b -> the numerators of every table with that row sum
+    p = []
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        r = ak + bk
+        mass = row_t[ak] * row_f[bk]
+        if fisher_mode == "two_sided":
+            if r not in numerators:
+                numerators[r] = [row_t[k] * row_f[r - k] for k in range(max(0, r - n_false), min(r, n_true) + 1)]
+            mass = sum(x for x in numerators[r] if x <= mass)
+        p.append(mass / row_n[r])
+    return np.maximum(np.array(p, dtype=np.float64), _TINY)
 
 
 def fisher_score_array(p: np.ndarray) -> np.ndarray:

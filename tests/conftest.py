@@ -7,7 +7,7 @@ from html.parser import HTMLParser
 import numpy as np
 from hypothesis import strategies as st
 
-from ktae import Rollout, RolloutGroup
+from ktae import Rollout, RolloutGroup, stats
 from ktae.oracle import ContingencyTable
 
 VOID_TAGS = {"meta", "br", "hr", "img", "link", "input"}
@@ -52,6 +52,17 @@ def at_one(kernel, *args, **kwargs) -> float:
         else:
             columns.append(np.array([arg]))
     return float(kernel(*columns, **kwargs)[0])
+
+
+def fisher_p(a, b, c, d, fisher_mode="point") -> np.ndarray:
+    """stats.fisher_prob_array over tables of any margins: one call per
+    margin (n_true, n_false) = (a + c, b + d), on that margin's tables."""
+    p = np.empty(len(a))
+    n_true, n_false = a + c, b + d
+    for margin in set(zip(n_true.tolist(), n_false.tolist())):
+        on = (n_true == margin[0]) & (n_false == margin[1])
+        p[on] = stats.fisher_prob_array(*margin, a[on], b[on], fisher_mode)
+    return p
 
 
 def table_at(s, token: int) -> ContingencyTable:

@@ -15,10 +15,10 @@ from ktae.frequency import cohen_h_array, frequency_term_array
 from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import compare_fast_vs_exact
 from ktae.records import group_record_line, parse_advantage_record
-from ktae.stats import fisher_point_prob_array, fisher_score_array, info_gain_array
+from ktae.stats import fisher_score_array, info_gain_array
 from ktae.synth import SynthSpec, generate, recovery_report
 
-from conftest import at_one, parse_spans, random_group, random_tables
+from conftest import at_one, fisher_p, parse_spans, random_group, random_tables
 
 
 @contextmanager
@@ -45,9 +45,8 @@ def test_criterion_02_symmetry_suite():
         rng = np.random.default_rng(20240)
         a, b, c, d = random_tables(rng, 10_000, max_cell=16)
 
-        p_fwd = fisher_point_prob_array(a, b, c, d)
-        p_swp = fisher_point_prob_array(b, a, d, c)
-        assert np.max(np.abs(p_fwd - p_swp)) <= 1e-12
+        for fisher_mode in ("point", "two_sided"):
+            assert (fisher_p(a, b, c, d, fisher_mode) == fisher_p(b, a, d, c, fisher_mode)).all()
 
         ig_fwd = info_gain_array(a, b, c, d)
         ig_swp = info_gain_array(b, a, d, c)

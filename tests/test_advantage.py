@@ -33,11 +33,18 @@ from ktae import (
 )
 from ktae import advantage, core, frequency, stats
 from ktae.advantage import DELTA_MAX, sigmoid_shift
-from ktae.oracle import ContingencyTable as CT, brute_force_stats, raw_term_frequencies, reference_advantages
+from ktae.oracle import (
+    ContingencyTable as CT,
+    brute_force_stats,
+    fisher_exact_rational,
+    fisher_two_sided_enum,
+    raw_term_frequencies,
+    reference_advantages,
+)
 from ktae.records import advantage_record_line
 from ktae.synth import SynthSpec, generate
 
-from conftest import at_one, rollout_groups, table_at
+from conftest import at_one, fisher_p, rollout_groups, table_at
 from test_golden import GOLDEN_SHA256, WIDE_SHA256, compute_sha256, golden_groups, wide_groups
 from test_oracle import _close
 
@@ -64,12 +71,12 @@ def memo_bytes():
 def count_kernel_rows(monkeypatch):
     """A list that gets the row count of every table-statistics kernel call."""
     rows = []
-    for name in ("fisher_point_prob_array", "fisher_two_sided_prob_array", "info_gain_array"):
+    for name, cells in (("fisher_prob_array", 2), ("info_gain_array", 0)):  # the position of the a array
         kernel = getattr(stats, name)
 
-        def counted(a, *args, _kernel=kernel, **kwargs):
-            rows.append(len(a))
-            return _kernel(a, *args, **kwargs)
+        def counted(*args, _kernel=kernel, _cells=cells):
+            rows.append(len(args[_cells]))
+            return _kernel(*args)
 
         monkeypatch.setattr(stats, name, counted)
     return rows
@@ -312,10 +319,9 @@ class TestComputeAdvantages:
             [(1, 2), (1, 3), (2, 4), (5, 1)],
         )
         s = compute_advantages(group, KtaeConfig(fisher_mode="two_sided")).token_stats
-        for token, fisher_p in zip(s.tokens.tolist(), s.fisher_p.tolist()):
-            two_sided = at_one(stats.fisher_two_sided_prob_array, table_at(s, token))
-            assert fisher_p == pytest.approx(two_sided, rel=1e-12)
-            assert 0.0 < fisher_p <= 1.0
+        for token, p in zip(s.tokens.tolist(), s.fisher_p.tolist()):
+            assert p == at_one(fisher_p, table_at(s, token), fisher_mode="two_sided")
+            assert 0.0 < p <= 1.0
 
     def test_matrix_shapes_match_the_group(self):
         group = binary_group([True, False], [(1, 2, 3), (4, 5)])
@@ -422,8 +428,7 @@ class TestTableGather:
         config = KtaeConfig(fisher_mode=fisher_mode, h1=1.5, h2=0.75, h3=2.0)
         s = compute_advantages(group, config).token_stats
         a, b, c, d = s.a, s.b, s.c, s.d
-        fisher = stats.fisher_two_sided_prob_array if fisher_mode == "two_sided" else stats.fisher_point_prob_array
-        p = fisher(a, b, c, d)
+        p = fisher_p(a, b, c, d, fisher_mode)
         f_score = stats.fisher_score_array(p)
         ig = stats.info_gain_array(a, b, c, d)
         len_true, len_false, len_avg = mean_lengths(group)
@@ -486,15 +491,23 @@ def bound_groups(draw):
     return RolloutGroup("bound", rollouts)
 
 
-INT_COLUMNS = ("tokens", "a", "b", "c", "d", "tf_true", "tf_false")
-# Run in a fresh process: the integer columns of each SynthSpec's group, by sha256.
-COUNT_SCRIPT = f"""
+# The integer columns, and Fisher p, which comes from integer arithmetic.
+HASHED_COLUMNS = ("tokens", "a", "b", "c", "d", "tf_true", "tf_false", "fisher_p")
+# For each group set named on the command line and each Fisher mode, the
+# sha256 of each hashed column over the set's groups.
+HASH_SCRIPT = f"""
 import hashlib, sys
-from ktae import compute_advantages
+from ktae import KtaeConfig, compute_advantages
 from ktae.synth import SynthSpec, generate
-for spec in sys.argv[1:]:
-    s = compute_advantages(next(iter(generate(eval(spec))))).token_stats
-    print(*(hashlib.sha256(getattr(s, name).tobytes()).hexdigest() for name in {INT_COLUMNS!r}))
+from test_golden import golden_groups, wide_groups
+for groups in sys.argv[1:]:
+    for fisher_mode in ("point", "two_sided"):
+        hashes = [hashlib.sha256() for _ in {HASHED_COLUMNS!r}]
+        for group in eval(groups):
+            s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
+            for h, name in zip(hashes, {HASHED_COLUMNS!r}):
+                h.update(getattr(s, name).tobytes())
+        print(*(h.hexdigest() for h in hashes))
 """
 
 
@@ -535,14 +548,17 @@ class TestCount:
     @pytest.mark.skipif(not __cpu_features__.get("AVX512F"), reason="numpy takes no AVX-512 path on this CPU")
     def test_counts_do_not_depend_on_cpu_dispatch(self):
         """np.sort takes its AVX2 path with AVX-512 disabled; the integer
-        columns keep their bytes (float columns may not, see README)."""
-        specs = [repr(TestWorkCount.GROUPS[name]) for name in ("tall", "wide")]
-        env = dict(os.environ, PYTHONPATH=SRC, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-        result = subprocess.run([sys.executable, "-c", COUNT_SCRIPT, *specs], capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-        for spec, line in zip(specs, result.stdout.splitlines(), strict=True):
-            s = compute_advantages(next(iter(generate(eval(spec))))).token_stats
-            assert line.split() == [hashlib.sha256(getattr(s, name).tobytes()).hexdigest() for name in INT_COLUMNS]
+        columns and Fisher p keep their bytes in both Fisher modes (other
+        float columns may not, see README)."""
+        sets = [f"generate({TestWorkCount.GROUPS[name]!r})" for name in ("tall", "wide")]
+        sets += ["golden_groups()", "wide_groups()"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, os.path.dirname(os.path.abspath(__file__)))))
+        runs = [subprocess.run([sys.executable, "-c", HASH_SCRIPT, *sets], capture_output=True, text=True, env=run_env)
+                for run_env in (env, dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"))]
+        for result in runs:
+            assert result.returncode == 0, result.stderr
+        assert len(runs[0].stdout.splitlines()) == 2 * len(sets)
+        assert runs[1].stdout == runs[0].stdout
 
 
 @st.composite
@@ -665,6 +681,45 @@ class TestMemo:
             thread.join()
         for t, got in enumerate(results):
             assert got == serial[t:] + serial[:t], t
+
+
+@st.composite
+def fisher_groups(draw):
+    """Groups of 2-64 binary-reward rollouts of 1-8 tokens over a few ids, so
+    that tables repeat; in about half, the sides are equal or one apart."""
+    g = draw(st.integers(2, 64))
+    n_true = g // 2 if draw(st.booleans()) else draw(st.integers(0, g))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = draw(st.integers(1, 2 * g))
+    rollouts = tuple(Rollout(tuple(rng.integers(0, vocab, size=int(rng.integers(1, 9))).tolist()), float(i < n_true))
+                     for i in range(g))
+    return RolloutGroup("fisher", rollouts)
+
+
+class TestExactFisherP:
+    """The memo's Fisher p is the oracle's exact rational, correctly rounded."""
+
+    # Two-sided ties: tables (4, 0) and (0, 4) of margin (4, 4), at p = 1/35,
+    MIRRORED = binary_group([True] * 4 + [False] * 4, [(1,)] * 4 + [(2,)] * 4)
+    # and (3, 1) and (0, 4) of margin (3, 5), C(3,3) C(5,1) = C(3,0) C(5,4), at p = 1/7.
+    TIED = binary_group([True] * 3 + [False] * 5, [(8, 1), (8, 2), (8,), (9, 8), (9,), (9, 3), (9,), (4,)])
+
+    @given(fisher_groups(), st.sampled_from(["point", "two_sided"]))
+    @example(MIRRORED, "two_sided")
+    @example(TIED, "two_sided")
+    @settings(max_examples=80, deadline=None)
+    def test_memo_p_equals_the_oracle(self, group, fisher_mode):
+        oracle = fisher_two_sided_enum if fisher_mode == "two_sided" else fisher_exact_rational
+        s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
+        for token, p in zip(s.tokens.tolist(), s.fisher_p.tolist()):
+            assert p == float(oracle(table_at(s, token))), token
+
+    def test_tied_tables_share_their_p(self):
+        s = compute_advantages(self.TIED, KtaeConfig(fisher_mode="two_sided")).token_stats
+        assert (table_at(s, 8), table_at(s, 9)) == (CT(3, 1, 0, 4), CT(0, 4, 3, 1))
+        assert s.fisher_p[s.index(8)] == s.fisher_p[s.index(9)] == 1 / 7
+        s = compute_advantages(self.MIRRORED, KtaeConfig(fisher_mode="two_sided")).token_stats
+        assert s.fisher_p.tolist() == [1 / 35, 1 / 35]
 
 
 def degenerate(group, correct):

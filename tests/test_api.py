@@ -39,8 +39,7 @@ MODULE_LEVEL = [
     ("ktae.oracle", "fisher_two_sided_enum"),
     ("ktae.oracle", "raw_term_frequencies"),
     ("ktae.oracle", "reference_advantages"),
-    ("ktae.stats", "fisher_point_prob_array"),
-    ("ktae.stats", "fisher_two_sided_prob_array"),
+    ("ktae.stats", "fisher_prob_array"),
     ("ktae.stats", "fisher_score_array"),
     ("ktae.stats", "info_gain_array"),
     ("ktae.frequency", "tf_score_array"),
@@ -50,8 +49,7 @@ MODULE_LEVEL = [
 
 # Every public name each module defines itself; a new public helper shows up here.
 DEFINED = {
-    "ktae.stats": {"binary_entropy_from_counts", "fisher_point_prob_array", "fisher_score_array",
-                   "fisher_two_sided_prob_array", "info_gain_array"},
+    "ktae.stats": {"binary_entropy_from_counts", "fisher_prob_array", "fisher_score_array", "info_gain_array"},
     "ktae.frequency": {"cohen_h_array", "frequency_term_array", "tf_score_array"},
     "ktae.oracle": {"ContingencyTable", "MAX_EXACT_N", "ReferenceAdvantages", "all_tables_with_total",
                     "brute_force_stats", "compare_fast_vs_exact", "fisher_exact_rational", "fisher_two_sided_enum",
@@ -80,8 +78,8 @@ REMOVED = [
     ("ktae.advantage", "GrpoBaseline"),
     ("ktae.oracle", "ExactRational"),
     ("ktae.records", "load_synth_spec"),
-    # Used only by tests: the ln-factorial cache is private to ktae.stats, and
-    # the loaders call the from_dict constructors directly.
+    # Used only by tests: an ln-gamma table and its default instance, and
+    # loaders whose callers now call the from_dict constructors directly.
     ("ktae.stats", "LogGammaTable"),
     ("ktae.stats", "default_lngamma"),
     ("ktae.records", "config_from_mapping"),
@@ -112,6 +110,10 @@ REMOVED = [
     # went, and the table type moved to ktae.oracle.
     ("ktae.core", "TokenStats"),
     ("ktae.core", "ContingencyTable"),
+    # Log-space float kernels: Fisher p comes exact from integer binomials,
+    # one margin per fisher_prob_array call.
+    ("ktae.stats", "fisher_point_prob_array"),
+    ("ktae.stats", "fisher_two_sided_prob_array"),
 ]
 
 

@@ -19,7 +19,7 @@ from ktae.oracle import (
 )
 from ktae import stats
 
-from conftest import rollout_groups, table_at
+from conftest import at_one, fisher_p, rollout_groups, table_at
 
 
 class TestFisherExactRational:
@@ -72,8 +72,7 @@ class TestFisherTwoSidedEnum:
     @pytest.mark.parametrize("table", [CT(80, 48, 40, 88), CT(64, 64, 64, 64)], ids=["skewed", "uniform"])
     def test_table_beyond_the_sweep_bound_matches_the_fast_kernel(self, table):
         assert table.n == 256
-        fast = stats.fisher_two_sided_prob_array(*(np.array([x]) for x in table)).item()
-        assert math.isclose(fast, float(fisher_two_sided_enum(table)), rel_tol=1e-9)
+        assert at_one(fisher_p, table, fisher_mode="two_sided") == float(fisher_two_sided_enum(table))
 
 
 class TestBruteForceStats:
@@ -164,6 +163,7 @@ class TestReferenceAdvantages:
         for name in ("tokens", "a", "b", "c", "d", "tf_true", "tf_false"):
             assert getattr(got, name).dtype == getattr(want, name).dtype == np.int64, name
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.fisher_p.tobytes() == want.fisher_p.tobytes()  # both the correctly rounded rational
         for name in ("fisher_p", "fisher_score", "info_gain", "tf_score_true", "tf_score_false",
                      "direction", "key_token_value"):
             assert getattr(got, name).dtype == getattr(want, name).dtype == np.float64, name
@@ -196,7 +196,7 @@ class TestReferenceAdvantages:
 class TestCompareFastVsExact:
     def test_small_exhaustive_within_tolerance(self):
         worst, _ = compare_fast_vs_exact(8)
-        assert worst <= 1e-9
+        assert worst <= 2**-53  # correctly rounded
 
     def test_rejects_bounds_beyond_exact_range(self):
         with pytest.raises(DomainError, match="max_n 65 exceeds exact bound 64"):
@@ -207,11 +207,16 @@ class TestCompareFastVsExact:
         assert worst == 0.0
         assert table is None
 
-    def test_perturbed_log_gamma_is_caught_with_a_counterexample(self, monkeypatch):
-        values = stats._ln_factorials(64).copy()
-        values[3] += 1e-6  # corrupt ln 3!
-        monkeypatch.setattr(stats, "_ln_factorial", values)
+    def test_a_corrupted_p_is_reported_with_its_table(self, monkeypatch):
+        exact = stats.fisher_prob_array
+
+        def corrupted(n_true, n_false, a, b, fisher_mode):
+            p = exact(n_true, n_false, a, b, fisher_mode)
+            if (n_true, n_false) == (3, 5):
+                p[(a == 1) & (b == 2)] *= 1.0 + 1e-6  # the one table (1, 2, 2, 3)
+            return p
+
+        monkeypatch.setattr(stats, "fisher_prob_array", corrupted)
         worst, table = compare_fast_vs_exact(8)
-        assert worst > 1e-9
-        assert table is not None
-        assert table.n <= 8
+        assert 1e-9 < worst < 2e-6
+        assert table == CT(1, 2, 2, 3)

@@ -5,18 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ktae import stats
 from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import all_tables_with_total, fisher_exact_rational, fisher_two_sided_enum
-from ktae.stats import (
-    binary_entropy_from_counts,
-    fisher_point_prob_array,
-    fisher_score_array,
-    fisher_two_sided_prob_array,
-    info_gain_array,
-)
+from ktae.stats import binary_entropy_from_counts, fisher_prob_array, fisher_score_array, info_gain_array
 
-from conftest import at_one, contingency_tables
+from conftest import at_one, contingency_tables, fisher_p
 
 
 def cond_entropy(table):
@@ -36,31 +29,38 @@ H_THREE_QUARTERS = 0.8112781244591328
 class TestFisherPointProb:
     def test_token_in_every_rollout_gives_one(self):
         # both binomial factors cancel against the denominator
-        assert at_one(fisher_point_prob_array, CT(5, 3, 0, 0)) == 1.0
-        assert at_one(fisher_point_prob_array, CT(0, 0, 5, 3)) == 1.0
+        assert at_one(fisher_p, CT(5, 3, 0, 0)) == 1.0
+        assert at_one(fisher_p, CT(0, 0, 5, 3)) == 1.0
 
     def test_perfect_split_matches_rational_oracle(self):
-        assert at_one(fisher_point_prob_array, CT(4, 0, 0, 4)) == pytest.approx(P_4004, rel=1e-12)
+        assert at_one(fisher_p, CT(4, 0, 0, 4)) == P_4004
 
     def test_mixed_split_matches_rational_oracle(self):
-        assert at_one(fisher_point_prob_array, CT(3, 1, 1, 3)) == pytest.approx(P_3113, rel=1e-9)
+        assert at_one(fisher_p, CT(3, 1, 1, 3)) == P_3113
 
     def test_exhaustive_agreement_with_oracle_up_to_n10(self):
         for n in range(1, 11):
             for table in all_tables_with_total(n):
-                exact = fisher_exact_rational(table)
-                fast = at_one(fisher_point_prob_array, table)
-                assert abs(fast - exact) <= 1e-9 * float(exact), table
+                assert at_one(fisher_p, table) == float(fisher_exact_rational(table)), table
 
     @given(contingency_tables())
     def test_in_unit_interval(self, table):
-        p = at_one(fisher_point_prob_array, table)
+        p = at_one(fisher_p, table)
         assert 0.0 < p <= 1.0
 
     @given(contingency_tables())
     def test_column_swap_invariance(self, table):
-        swapped = at_one(fisher_point_prob_array, CT(table.b, table.a, table.d, table.c))
-        assert at_one(fisher_point_prob_array, table) == pytest.approx(swapped, abs=1e-12)
+        swapped = at_one(fisher_p, CT(table.b, table.a, table.d, table.c))
+        assert at_one(fisher_p, table) == swapped
+
+    def test_large_margin_is_the_rounded_rational(self):
+        table = CT(300, 0, 0, 300)
+        assert at_one(fisher_p, table) == float(Fraction(1, math.comb(600, 300))) == float(fisher_exact_rational(table))
+
+    def test_underflow_is_floored_at_the_smallest_double(self):
+        # 1 / C(1200, 600) is about 1e-360, below the smallest subnormal
+        for fisher_mode in ("point", "two_sided"):
+            assert at_one(fisher_p, CT(600, 0, 0, 600), fisher_mode=fisher_mode) == math.nextafter(0.0, 1.0)
 
 
 class TestFisherScore:
@@ -141,76 +141,41 @@ class TestInfoGain:
         a, b = table.a, table.b
         if a + b == 0:
             a = 1
-        assert at_one(fisher_point_prob_array, CT(a, b, 0, 0)) == 1.0
+        assert at_one(fisher_p, CT(a, b, 0, 0)) == 1.0
         assert at_one(info_gain_array, CT(a, b, 0, 0)) == 0.0
 
 
 class TestTwoSided:
     def test_uniform_table_sums_to_one(self):
-        assert at_one(fisher_two_sided_prob_array, CT(2, 2, 2, 2)) == pytest.approx(1.0, rel=1e-12)
+        assert at_one(fisher_p, CT(2, 2, 2, 2), fisher_mode="two_sided") == 1.0
 
     def test_uniquely_least_likely_table_equals_its_point_probability(self):
         # for margins rows=(3,5), cols=(5,3) the observed table is the unique minimum
         table = CT(0, 3, 5, 0)
         assert fisher_two_sided_enum(table) == fisher_exact_rational(table)
-        exact = float(fisher_exact_rational(table))
-        assert at_one(fisher_two_sided_prob_array, table) == pytest.approx(exact, rel=1e-12)
+        assert at_one(fisher_p, table, fisher_mode="two_sided") == float(fisher_exact_rational(table))
 
     def test_perfect_split_includes_the_tied_opposite_corner(self):
-        two_sided = at_one(fisher_two_sided_prob_array, CT(4, 0, 0, 4))
-        assert two_sided == pytest.approx(float(Fraction(1, 35)), rel=1e-12)
+        assert at_one(fisher_p, CT(4, 0, 0, 4), fisher_mode="two_sided") == float(Fraction(1, 35))
 
     def test_exhaustive_agreement_with_enumeration_oracle_up_to_n9(self):
         for n in range(1, 10):
             for table in all_tables_with_total(n):
                 exact = float(fisher_two_sided_enum(table))
-                fast = at_one(fisher_two_sided_prob_array, table)
-                assert fast == pytest.approx(exact, rel=1e-9), table
+                assert at_one(fisher_p, table, fisher_mode="two_sided") == exact, table
 
     @given(contingency_tables(max_cell=8))
     @settings(max_examples=60)
     def test_at_least_point_probability_and_at_most_one(self, table):
-        point = at_one(fisher_point_prob_array, table)
-        two_sided = at_one(fisher_two_sided_prob_array, table)
-        assert point - 1e-12 <= two_sided <= 1.0
+        point = at_one(fisher_p, table)
+        two_sided = at_one(fisher_p, table, fisher_mode="two_sided")
+        assert point <= two_sided <= 1.0
 
 
 def test_kernels_map_empty_tables_to_empty_float_arrays():
     empty = np.array([], dtype=np.int64)
-    for out in (fisher_point_prob_array(empty, empty, empty, empty),
-                fisher_two_sided_prob_array(empty, empty, empty, empty),
+    for out in (fisher_prob_array(3, 5, empty, empty, "point"),
+                fisher_prob_array(3, 5, empty, empty, "two_sided"),
                 fisher_score_array(np.array([], dtype=np.float64)),
                 info_gain_array(empty, empty, empty, empty)):
         assert out.dtype == np.float64 and out.shape == (0,)
-
-
-class TestLogGammaTable:
-    """The private ln-factorial array the Fisher kernels read."""
-
-    def test_zero_factorial_is_exact(self):
-        values = stats._ln_factorials(16)
-        assert values[0] == 0.0
-        assert values[1] == 0.0  # ln 1! is also exactly zero
-
-    def test_monotone_non_decreasing(self):
-        assert np.all(np.diff(stats._ln_factorials(64)) >= 0.0)
-
-    def test_matches_lgamma(self):
-        values = stats._ln_factorials(32)
-        for n in range(33):
-            assert values[n] == math.lgamma(n + 1)
-
-    def test_read_only(self):
-        with pytest.raises(ValueError):
-            stats._ln_factorials(8)[0] = 1.0
-
-    def test_grows_on_demand_keeping_every_entry_and_never_shrinks(self, monkeypatch):
-        built_at_import = stats._ln_factorial
-        assert len(built_at_import) == 257
-        monkeypatch.setattr(stats, "_ln_factorial", built_at_import)  # restored after the test
-        grown = stats._ln_factorials(600)
-        assert len(grown) == 601
-        assert grown[600] == math.lgamma(601)
-        assert grown[:257].tobytes() == built_at_import.tobytes()
-        assert stats._ln_factorials(10) is grown
-        assert at_one(fisher_point_prob_array, CT(300, 0, 0, 300)) == pytest.approx(1 / math.comb(600, 300), rel=1e-9)
