@@ -65,9 +65,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     json.loads would otherwise merge into the last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen: set[str] = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise RecordError(f"key {key!r} appears twice in one object")
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise RecordError(f"key {key!r} appears twice in one object")
+            seen.add(key)
     return obj
 
 
