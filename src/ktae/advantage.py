@@ -101,8 +101,9 @@ def sigmoid_shift(x: np.ndarray) -> np.ndarray:
     return np.clip(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - 0.5, -DELTA_MAX, DELTA_MAX)
 
 
-def _count_occurrences(group: RolloutGroup, sizes: list[int]):
-    """Occurrence counts of every distinct token in ``group.token_ids``.
+def _count_occurrences(ids: np.ndarray, sizes: list[int], correct: tuple[bool, ...]):
+    """Occurrence counts of every distinct token in the id column ``ids``,
+    whose rollouts have lengths ``sizes`` and correctness ``correct``.
 
     One ``np.sort`` of the keys ``id << shift | position``, where ``shift`` is
     the bit length of the position count, lists each token's positions in
@@ -115,7 +116,6 @@ def _count_occurrences(group: RolloutGroup, sizes: list[int]):
     where the token or the rollout changes its rollouts per side (a, b). Also
     returns ``order``, ``rank`` and each sorted position's ``rollout``.
     """
-    ids = group.token_ids
     shift = ids.size.bit_length()
     tokens = None
     if ids.max() > MAX_TOKEN_ID >> shift:
@@ -129,8 +129,8 @@ def _count_occurrences(group: RolloutGroup, sizes: list[int]):
     if tokens is None:
         tokens = keys[new_token]
     rank = np.cumsum(new_token) - 1
-    rollout = np.repeat(np.arange(group.size), sizes)[order]
-    side_key = rank * 2 + np.logical_not(group.correct_mask)[rollout]
+    rollout = np.repeat(np.arange(len(sizes)), sizes)[order]
+    side_key = rank * 2 + np.logical_not(correct)[rollout]
     m2 = 2 * tokens.size
     tf_true, tf_false = np.bincount(side_key, minlength=m2).reshape(-1, 2).T
     new_token[1:] |= rollout[1:] != rollout[:-1]
@@ -146,78 +146,61 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     contingency table (Fisher probability and score, information gain,
     Cohen's h) is computed once per margin cell per process, the frequency
     scores once per occurrence count, and the rest once per token id; each
-    id's values are broadcast to all of its positions; what no advantage needs
-    is built when ``token_stats`` is first read. A group whose rollouts are
-    all correct or all incorrect either raises DegenerateGroup
+    id's values are broadcast to all of its positions. A group whose
+    rollouts are all correct or all incorrect either raises DegenerateGroup
     (degenerate_policy="error") or skips the kernel: every table has an empty
     column, so F = IG = 0, every delta is exactly 0.0, and the token
-    advantages equal the rollout baseline.
+    advantages equal the rollout baseline. The token statistics are counted
+    afresh from the group's id column when ``token_stats`` is first read, so
+    the matrix holds that column, not per-token results.
     """
     config = config if config is not None else KtaeConfig()
     baseline = grpo_advantages([r.reward for r in group.rollouts], config.std_epsilon)
     sizes = [len(r.tokens) for r in group.rollouts]
+    ids, correct = group.token_ids, group.correct_mask
     if dapo_admissible(group):
-        base, flat, stats = _refine(group, config, baseline, sizes)
+        _, order, rank, rollout, a, b, tf_true, tf_false = _count_occurrences(ids, sizes, correct)
+        ktv = _token_values(config, sizes, correct, a, b, tf_true, tf_false)[-1]
+        base, delta = _snap_to_group_grid(baseline, sigmoid_shift(ktv))
+        flat = np.empty(order.size)
+        flat[order] = base[rollout] + delta[rank]
     elif config.degenerate_policy == "error":
         raise DegenerateGroup(f"group {group.group_id!r} has {group.num_correct}/{group.size} correct rollouts")
     else:
-        # The margin enters the memo as in a full call.
-        _table_stats(group.num_correct, group.size - group.num_correct, config.fisher_mode, np.zeros(0, np.int64))
         base = _snap_to_group_grid(baseline, np.zeros(0))[0]
         flat = np.repeat(base, sizes) + 0.0  # base + delta: a -0.0 baseline gives 0.0
-        stats = functools.partial(_degenerate_stats, group, config, baseline, sizes)
     flat.flags.writeable = False
     rows = tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes))
+    stats = functools.partial(_token_stats, config, ids, sizes, correct)
     return AdvantageMatrix(rollout_advantages=base, token_advantages=rows, token_stats=stats)
 
 
-def _refine(group: RolloutGroup, config: KtaeConfig, baseline: np.ndarray, sizes: list[int]):
-    """The token-level kernel: the snapped baselines, every position's
-    advantage as one flat array, and a builder of the token statistics."""
-    tokens, order, rank, rollout, a, b, tf_true, tf_false = _count_occurrences(group, sizes)
-    n_true = group.num_correct
-    n_false = group.size - n_true
+def _token_stats(config: KtaeConfig, ids: np.ndarray, sizes: list[int], correct: tuple[bool, ...]):
+    """A group's token statistics, counted from its id column."""
+    tokens, _, _, _, a, b, tf_true, tf_false = _count_occurrences(ids, sizes, correct)
+    n_true = sum(correct)
+    values, index, *scores = _token_values(config, sizes, correct, a, b, tf_true, tf_false)
+    return TokenStatsColumns(tokens, a, b, n_true - a, len(correct) - n_true - b, *values[:3, index],
+                             tf_true, tf_false, *scores)
 
+
+def _token_values(config: KtaeConfig, sizes: list[int], correct: tuple[bool, ...], a, b, tf_true, tf_false):
+    """Each token's memo column, TF scores, direction and key-token-value,
+    from its table and TF counts; also returns the memo values it indexes."""
+    n_true = sum(correct)
+    n_false = len(correct) - n_true
     values, index = _table_stats(n_true, n_false, config.fisher_mode, a * (n_false + 1) + b)
     # Mean rollout lengths from exact integer sums. An empty side's TF counts
     # are all 0, so the group mean standing in for its length never shows.
     total = sum(sizes)
-    total_true = sum(itertools.compress(sizes, group.correct_mask))
-    len_avg = total / group.size
-    lengths = (total_true / n_true if n_true else len_avg,
-               (total - total_true) / n_false if n_false else len_avg, len_avg)
-    ktv = _token_values(values, index, tf_true, tf_false, lengths, config)[-1]
-    base, delta = _snap_to_group_grid(baseline, sigmoid_shift(ktv))
-    # The statistics keep the counts and are rebuilt from them when first read.
-    stats = functools.partial(_stats_columns, tokens, a, b, n_true, n_false, values, index,
-                              tf_true, tf_false, lengths, config)
-    flat = np.empty(order.size)
-    flat[order] = base[rollout] + delta[rank]
-    return base, flat, stats
-
-
-def _token_values(values, index, tf_true, tf_false, lengths, config: KtaeConfig):
-    """Each token's TF scores, direction and key-token-value, from its memo
-    column, TF counts and the (correct, incorrect, group) mean lengths."""
-    len_true, len_false, len_avg = lengths
-    tfs_true = _tf_scores(tf_true, len_true, len_avg, config)
-    tfs_false = _tf_scores(tf_false, len_false, len_avg, config)
+    total_true = sum(itertools.compress(sizes, correct))
+    len_avg = total / len(sizes)
+    tfs_true = _tf_scores(tf_true, total_true / n_true if n_true else len_avg, len_avg, config)
+    tfs_false = _tf_scores(tf_false, (total - total_true) / n_false if n_false else len_avg, len_avg, config)
     direction = values[3][index] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
     # Strength once per evaluated cell, then gathered with Cohen's h.
     strength = (config.h1 * values[1] + config.h2 * values[2])[index]
-    return tfs_true, tfs_false, direction, strength * direction
-
-
-def _stats_columns(tokens, a, b, n_true, n_false, values, index, tf_true, tf_false, lengths,
-                   config) -> TokenStatsColumns:
-    """Token statistics from a call's counts and the memo rows it gathered."""
-    return TokenStatsColumns(tokens, a, b, n_true - a, n_false - b, *values[:3, index], tf_true, tf_false,
-                             *_token_values(values, index, tf_true, tf_false, lengths, config))
-
-
-def _degenerate_stats(group: RolloutGroup, config: KtaeConfig, baseline: np.ndarray, sizes: list[int]):
-    """A degenerate group's token statistics, from the full kernel."""
-    return _refine(group, config, baseline, sizes)[2]()
+    return values, index, tfs_true, tfs_false, direction, strength * direction
 
 
 def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):

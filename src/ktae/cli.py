@@ -131,8 +131,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-    # More workers than CPUs only add fork and memory cost; output is the same.
-    workers = min(args.parallel, os.cpu_count() or 1)
+    # More workers than the CPUs this process may run on only add fork and
+    # memory cost; output is the same.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.parallel, cpus)
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
     # One worker maps in process, with no pool to start. Batches keep memory
     # bounded on huge inputs, and both maps keep input order.

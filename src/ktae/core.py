@@ -11,7 +11,7 @@ import array
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Literal, get_args
 
@@ -205,19 +205,21 @@ class TokenStatsColumns:
         return i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdvantageMatrix:
     """Final output: rollout-level baselines plus per-position refinements.
 
     token_advantages[i] aligns with rollouts[i].tokens; every position of a
     given token id inside the group carries the same (token - rollout)
     advantage delta, and that delta always lies strictly inside (-0.5, 0.5).
-    token_stats may be a zero-argument callable that builds it on first access.
+    token_stats may be a zero-argument callable that builds it on first
+    access; the repr leaves it out, so printing a matrix builds nothing.
+    Matrices compare and hash by identity, as their arrays have no truth value.
     """
 
     rollout_advantages: np.ndarray
     token_advantages: tuple[np.ndarray, ...]
-    token_stats: TokenStatsColumns
+    token_stats: TokenStatsColumns = field(repr=False)
 
     def __post_init__(self) -> None:
         if callable(self.token_stats):

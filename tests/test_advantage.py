@@ -9,7 +9,7 @@ import threading
 import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,7 +41,7 @@ from ktae.oracle import (
     raw_term_frequencies,
     reference_advantages,
 )
-from ktae.records import advantage_record_line
+from ktae.records import advantage_record_line, group_record_line, parse_group_record
 from ktae.synth import SynthSpec, generate
 
 from conftest import at_one, fisher_p, rollout_groups, table_at
@@ -593,16 +593,16 @@ class TestMemo:
         config = KtaeConfig(fisher_mode=fisher_mode, h1=h1, h2=h2)
         with pytest.MonkeyPatch.context() as mp:
             empty_memo(mp)
+            # Statistics are counted when first read, so read the cold ones before the memo warms.
             cold = compute_advantages(group, config)
+            cold = matrix_bytes(cold), advantage_record_line("k", cold, include_stats=True)
             empty_memo(mp)
             for other in others:  # the other Fisher mode's margin too, and other weights
                 for fill in (config, KtaeConfig(fisher_mode="point" if fisher_mode == "two_sided" else "two_sided")):
-                    compute_advantages(other, fill)
+                    compute_advantages(other, fill).token_stats  # a degenerate margin enters on this read
             warmed = (group.num_correct, group.size - group.num_correct, fisher_mode) in advantage._memo
             warm = compute_advantages(group, config)
-        assert matrix_bytes(warm) == matrix_bytes(cold)
-        assert (advantage_record_line("k", warm, include_stats=True)
-                == advantage_record_line("k", cold, include_stats=True))
+            assert (matrix_bytes(warm), advantage_record_line("k", warm, include_stats=True)) == cold
         assert warmed
 
     def test_returned_columns_do_not_alias_the_memo(self, monkeypatch):
@@ -742,8 +742,7 @@ class TestPlainPath:
         def refuse(*args):
             raise AssertionError("token statistics built on the plain path")
 
-        monkeypatch.setattr(advantage, "_stats_columns", refuse)
-        monkeypatch.setattr(advantage, "_degenerate_stats", refuse)
+        monkeypatch.setattr(advantage, "_token_stats", refuse)
         assert compute_sha256(golden_groups(), "plain", tmp_path) == GOLDEN_SHA256["plain"]
         assert compute_sha256(wide_groups(), "plain", tmp_path) == WIDE_SHA256["plain"]
         with pytest.raises(AssertionError, match="plain path"):  # the patch is the one --stats reaches
@@ -780,21 +779,36 @@ class TestPlainPath:
             full_kernel(mp)
             assert matrix_bytes(compute_advantages(group, config)) == short
 
-    def test_a_held_matrix_keeps_counts_not_statistics(self):
-        """Unread statistics cost a held matrix its counts only: at most 6x
-        its advantage bytes on a wide group (44 bytes per distinct token
-        against 8 per position)."""
-        group = next(iter(generate(TestWorkCount.GROUPS["wide"])))
-        compute_advantages(group)  # the memo is warm
+    @staticmethod
+    def held_bytes(make, count):
+        """Bytes that ``count`` results of ``make`` hold, per result, and the last result."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            matrices = [compute_advantages(group) for _ in range(4)]
-            held = (tracemalloc.get_traced_memory()[0] - before) / len(matrices)
+            results = [make(i) for i in range(count)]
+            return (tracemalloc.get_traced_memory()[0] - before) / count, results[-1]
         finally:
             tracemalloc.stop()
-        advantage_bytes = sum(row.nbytes for row in matrices[0].token_advantages)
-        assert held <= 6 * advantage_bytes
+
+    def test_a_held_matrix_keeps_counts_not_statistics(self):
+        """Unread statistics cost a held matrix no per-token array of its
+        own: it shares the group's id column, so a wide group's matrix holds
+        at most 2x its advantage bytes."""
+        group = next(iter(generate(TestWorkCount.GROUPS["wide"])))
+        compute_advantages(group)  # the memo is warm
+        held, matrix = self.held_bytes(lambda i: compute_advantages(group), 4)
+        assert held <= 2 * sum(row.nbytes for row in matrix.token_advantages)
+
+    def test_a_matrix_whose_group_was_dropped_keeps_its_id_column(self):
+        """A caller that parses each group, computes it and drops it keeps
+        the matrix and the group's id column (8 bytes a position, as the
+        advantages): at most 3x the advantage bytes on wide groups."""
+        spec = replace(TestWorkCount.GROUPS["wide"], num_groups=4)
+        lines = [group_record_line(group) for group in generate(spec)]
+        for line in lines:  # the memo is warm
+            compute_advantages(parse_group_record(line))
+        held, matrix = self.held_bytes(lambda i: compute_advantages(parse_group_record(lines[i])), len(lines))
+        assert held <= 3 * sum(row.nbytes for row in matrix.token_advantages)
 
     def test_statistics_read_after_the_margin_is_evicted(self, monkeypatch):
         empty_memo(monkeypatch)

@@ -37,6 +37,12 @@ def read_lines(path):
     return [line for line in Path(path).read_text().splitlines() if line]
 
 
+def usable_cpus(monkeypatch, n):
+    """Let ``ktae compute`` see ``n`` CPUs in its affinity set, and twice as many on the host."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2 * n)
+
+
 def _exit_on_line_40(item, config, include_stats):
     """A worker that dies on input line 40, as one killed for memory would."""
     if item[0] == 40:
@@ -278,7 +284,7 @@ class TestCompute:
         serial, capped = tmp_path / "serial.jsonl", tmp_path / "capped.jsonl"
         assert main(["compute", "--input", str(many), "--output", str(serial)]) == 0
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        usable_cpus(monkeypatch, 3)  # the affinity set caps, not the host's CPU count
         assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "100000"]) == 0
         assert [pool.max_workers for pool in pools] == [3]
         assert pools[0].batches == [3 * 64, 200 - 3 * 64]
@@ -286,9 +292,21 @@ class TestCompute:
         assert all(c >= min(3 * 4, n) for c, n in zip(pools[0].chunks, pools[0].batches))
         assert capped.read_bytes() == serial.read_bytes()
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, run serially
+        usable_cpus(monkeypatch, 1)  # pinned to one CPU: run serially
         assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "4"]) == 0
         assert len(pools) == 1
+        assert capped.read_bytes() == serial.read_bytes()
+
+        # A platform with no affinity call falls back to the CPU count.
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "4"]) == 0
+        assert [pool.max_workers for pool in pools] == [3, 2]
+        assert capped.read_bytes() == serial.read_bytes()
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, run serially
+        assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "4"]) == 0
+        assert len(pools) == 2
         assert capped.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("parallel", ["1", "2"])
@@ -305,7 +323,7 @@ class TestCompute:
         expected, out = tmp_path / "expected.jsonl", tmp_path / "out.jsonl"
         assert main(["compute", "--input", str(good_src), "--output", str(expected)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         args = ["compute", "--input", str(src), "--output", str(out), "--parallel", parallel]
         assert main(args + ["--skip-bad"] * skip_bad) == (0 if skip_bad else 1)
         assert not multiprocessing.active_children()  # the pool is shut down on every exit
@@ -323,7 +341,7 @@ class TestCompute:
         src.write_text("".join(group_record_line(group) + "\n" for group in generate(spec)))
         assert main(["compute", "--input", str(src), "--output", str(expected)]) == 0
         monkeypatch.setattr(cli, "_process_line", _exit_on_line_40)  # forked workers inherit it
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         assert main(["compute", "--input", str(src), "--output", str(out), "--parallel", "2"]) == 1
         assert not multiprocessing.active_children()
         err = capsys.readouterr().err

@@ -146,6 +146,25 @@ def test_types_are_immutable():
         KtaeConfig().h1 = 2.0
 
 
+def test_advantage_matrices_compare_and_hash_by_identity():
+    group = make_group([1.0, 0.0, 1.0])
+    m, m2 = compute_advantages(group), compute_advantages(group)
+    assert m == m and m != m2
+    assert len({m, m2, m}) == 2
+
+
+def test_advantage_matrix_repr_builds_no_statistics():
+    def refuse():
+        raise AssertionError("token statistics built by repr")
+
+    m = compute_advantages(make_group([1.0, 0.0]))
+    matrix = core.AdvantageMatrix(m.rollout_advantages, m.token_advantages, refuse)
+    text = repr(matrix)
+    assert text.startswith("AdvantageMatrix(rollout_advantages=array(") and "token_stats" not in text
+    with pytest.raises(AssertionError, match="built by repr"):  # the builder is still the one a read calls
+        matrix.token_stats
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae.advantage import _snap_to_group_grid
 from ktae.core import DomainError
 from ktae.oracle import ContingencyTable as CT
 from ktae.oracle import (
@@ -155,6 +156,13 @@ class TestReferenceAdvantages:
     @example((_group_of([0.0, 1e300]), KtaeConfig()))
     @example((_group_of([-1.5e308, 1.5e308]), KtaeConfig()))
     @example((_group_of([1.7e308, 1.7e308, -1e308]), KtaeConfig()))
+    # Token 1 has a = b = 2 and TF scores 8/4.4 and 12/6.6, so its true
+    # direction is 0; rounding leaves a reference delta of -5.55e-17, below
+    # half the group's grid step, and the pipeline emits 0.0.
+    @example((RolloutGroup("ref", tuple(Rollout(tokens, r) for tokens, r in (
+        ((0,) * 9, 0.0), ((0,) * 12, 0.0), ((0,) * 12, 1.0), ((0,) * 11 + (1,), 0.0), ((0,) * 5, 1.0),
+        ((0,) * 10 + (1, 1), 0.0), ((0, 0, 0, 1), 1.0), ((0,) * 8 + (1,), 1.0)))),
+        KtaeConfig(h1=0.5, h2=0.0, k1=3.0, b=1.0)))
     def test_pipeline_matches_the_per_token_reference(self, case):
         group, config = case
         matrix = compute_advantages(group, config)
@@ -170,9 +178,12 @@ class TestReferenceAdvantages:
             for token, g, w in zip(want.tokens.tolist(), getattr(got, name).tolist(), getattr(want, name).tolist()):
                 assert _close(g, w), (token, name)
         assert all(map(_close, matrix.rollout_advantages.tolist(), ref.rollout_advantages))
+        # A reference delta that rounds to 0 on the group's grid must be emitted as exactly 0.0.
+        ref_snapped = _snap_to_group_grid(matrix.rollout_advantages, ref.deltas)[1]
         for i, rollout in enumerate(group.rollouts):
             delta = matrix.token_advantages[i] - matrix.rollout_advantages[i]
-            assert [np.sign(x) for x in delta] == [np.sign(ref.deltas[want.index(t)]) for t in rollout.tokens]
+            rows = [want.index(t) for t in rollout.tokens]
+            assert [np.sign(x) for x in delta] == [np.sign(ref.deltas[j]) if ref_snapped[j] else 0.0 for j in rows]
             assert all(map(_close, matrix.token_advantages[i].tolist(), ref.token_advantages[i]))
 
     def test_planted_split_by_hand(self):
