@@ -16,7 +16,6 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -150,16 +149,15 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     rollouts are all correct or all incorrect either raises DegenerateGroup
     (degenerate_policy="error") or skips the kernel: every table has an empty
     column, so F = IG = 0, every delta is exactly 0.0, and the token
-    advantages equal the rollout baseline. The token statistics are counted
-    afresh from the group's id column when ``token_stats`` is first read, so
-    the matrix holds that column, not per-token results.
+    advantages equal the rollout baseline. The matrix holds only its two
+    arrays; ``token_stats`` builds a group's per-token statistics.
     """
     config = config if config is not None else KtaeConfig()
     baseline = grpo_advantages([r.reward for r in group.rollouts], config.std_epsilon)
     sizes = [len(r.tokens) for r in group.rollouts]
-    ids, correct = group.token_ids, group.correct_mask
     if dapo_admissible(group):
-        _, order, rank, rollout, a, b, tf_true, tf_false = _count_occurrences(ids, sizes, correct)
+        correct = group.correct_mask
+        _, order, rank, rollout, a, b, tf_true, tf_false = _count_occurrences(group.token_ids, sizes, correct)
         ktv = _token_values(config, sizes, correct, a, b, tf_true, tf_false)[-1]
         base, delta = _snap_to_group_grid(baseline, sigmoid_shift(ktv))
         flat = np.empty(order.size)
@@ -171,13 +169,20 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
         flat = np.repeat(base, sizes) + 0.0  # base + delta: a -0.0 baseline gives 0.0
     flat.flags.writeable = False
     rows = tuple(flat[end - n:end] for end, n in zip(itertools.accumulate(sizes), sizes))
-    stats = functools.partial(_token_stats, config, ids, sizes, correct)
-    return AdvantageMatrix(rollout_advantages=base, token_advantages=rows, token_stats=stats)
+    return AdvantageMatrix(rollout_advantages=base, token_advantages=rows)
 
 
-def _token_stats(config: KtaeConfig, ids: np.ndarray, sizes: list[int], correct: tuple[bool, ...]):
-    """A group's token statistics, counted from its id column."""
-    tokens, _, _, _, a, b, tf_true, tf_false = _count_occurrences(ids, sizes, correct)
+def token_stats(group: RolloutGroup, config: KtaeConfig | None = None) -> TokenStatsColumns:
+    """The group's per-token statistics, one row per distinct token id.
+
+    A pure function of (group, config), counted from the group's id column;
+    it serves degenerate groups too (their tables have an empty column, so
+    F = IG = 0) and never reads ``degenerate_policy``.
+    """
+    config = config if config is not None else KtaeConfig()
+    sizes = [len(r.tokens) for r in group.rollouts]
+    correct = group.correct_mask
+    tokens, _, _, _, a, b, tf_true, tf_false = _count_occurrences(group.token_ids, sizes, correct)
     n_true = sum(correct)
     values, index, *scores = _token_values(config, sizes, correct, a, b, tf_true, tf_false)
     return TokenStatsColumns(tokens, a, b, n_true - a, len(correct) - n_true - b, *values[:3, index],

@@ -19,8 +19,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
 
-from .advantage import compute_advantages
-from .core import ConfigError, KtaeConfig, KtaeError
+from .advantage import compute_advantages, token_stats
+from .core import ConfigError, InvalidGroup, KtaeConfig, KtaeError
 from .heatmap import UnknownGroup, render_group_html
 from .oracle import MAX_EXACT_N, compare_fast_vs_exact
 from .records import (
@@ -101,7 +101,8 @@ def _process_line(item: tuple[int, str], config: KtaeConfig, include_stats: bool
     try:
         group = parse_group_record(_check_utf8(line))  # checks the group rules
         matrix = compute_advantages(group, config)
-        return advantage_record_line(group.group_id, matrix, include_stats), None
+        stats = token_stats(group, config) if include_stats else None
+        return advantage_record_line(group.group_id, matrix, stats), None
     except KtaeError as exc:
         return None, f"line {lineno}: {type(exc).__name__}: {exc}"
 
@@ -176,8 +177,11 @@ def _find_record(path: str, wanted_id: str, parse, describe: str):
 def cmd_visualize(args: argparse.Namespace) -> int:
     group = _find_record(args.input, args.group, parse_group_record, "group records")
     record = _find_record(args.advantages, args.group, parse_advantage_record, "advantage records")
-    document = render_group_html(group, record)
-    Path(args.output).write_text(document, encoding="utf-8")
+    try:  # before the output is opened, so a failure writes no file
+        document = render_group_html(group, record).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate from a JSON escape or from --group
+        raise InvalidGroup(f"group {group.group_id!r} has an id or display text that UTF-8 cannot encode") from None
+    Path(args.output).write_bytes(document)
     print(f"wrote {args.output}")
     return 0
 

@@ -202,14 +202,6 @@ def reference_advantages(group: RolloutGroup, config: KtaeConfig | None = None) 
     return ReferenceAdvantages(tuple(base), advantages, token_stats, delta_column)
 
 
-def all_tables_with_total(n: int):
-    """Yield every non-negative (a, b, c, d) composition with a+b+c+d = n."""
-    for a in range(n + 1):
-        for b in range(n - a + 1):
-            for c in range(n - a - b + 1):
-                yield ContingencyTable(a, b, c, n - a - b - c)
-
-
 def compare_fast_vs_exact(max_n: int) -> tuple[float, ContingencyTable | None]:
     """Exhaustively pit the package's Fisher point probability against the rational one.
 

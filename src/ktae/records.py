@@ -126,8 +126,9 @@ def group_record_line(group: RolloutGroup) -> str:
     return _dumps(obj)
 
 
-def advantage_record_line(group_id: str, matrix, include_stats: bool = False) -> str:
-    """Serialize an AdvantageMatrix for one group to its wire line.
+def advantage_record_line(group_id: str, matrix, stats=None) -> str:
+    """Serialize an AdvantageMatrix for one group to its wire line, with the
+    group's TokenStatsColumns ``stats`` as its token_stats when given.
 
     Every position of a token id carries the same delta and rollouts share
     few baselines, so a group holds few distinct numbers: each is formatted
@@ -137,8 +138,8 @@ def advantage_record_line(group_id: str, matrix, include_stats: bool = False) ->
     base_text, rows_text = _json_arrays(matrix.rollout_advantages, matrix.token_advantages)
     parts = ['{"group_id":', json.dumps(group_id), ',"rollout_advantages":', base_text,
              ',"token_advantages":', rows_text]
-    if include_stats:
-        parts += [',"token_stats":{', _token_stats_body(matrix.token_stats), "}"]
+    if stats is not None:
+        parts += [',"token_stats":{', _token_stats_body(stats), "}"]
     parts.append("}")
     return "".join(parts)
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .advantage import compute_advantages
+from .advantage import compute_advantages, token_stats
 from .core import MAX_TOKEN_ID, ConfigError, KtaeConfig, Rollout, RolloutGroup
 
 
@@ -148,8 +148,8 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
     elapsed = time.perf_counter() - started
 
     for group, matrix in zip(groups, matrices):
-        s = matrix.token_stats
-        deltas = _emitted_deltas(group, matrix)
+        s = token_stats(group, config)
+        deltas = _emitted_deltas(group, matrix, s.tokens)
         abs_ktv = np.abs(s.key_token_value)
         for tok in spec.planted_positive:
             pos_total += 1
@@ -192,12 +192,12 @@ def recovery_report(groups: list[RolloutGroup], spec: SynthSpec, config: KtaeCon
     }
 
 
-def _emitted_deltas(group: RolloutGroup, matrix) -> np.ndarray:
+def _emitted_deltas(group: RolloutGroup, matrix, tokens: np.ndarray) -> np.ndarray:
     """Each token's delta as read off the emitted rows (all positions of a
-    token carry the same one), aligned with ``matrix.token_stats.tokens``."""
-    out = np.empty(matrix.token_stats.tokens.size)
+    token carry the same one), aligned with the sorted distinct ``tokens``."""
+    out = np.empty(tokens.size)
     lengths = [len(row) for row in matrix.token_advantages]
-    out[matrix.token_stats.tokens.searchsorted(group.token_ids)] = (
+    out[tokens.searchsorted(group.token_ids)] = (
         np.concatenate(matrix.token_advantages) - np.repeat(matrix.rollout_advantages, lengths)
     )
     return out

@@ -65,6 +65,14 @@ def fisher_p(a, b, c, d, fisher_mode="point") -> np.ndarray:
     return p
 
 
+def all_tables_with_total(n: int):
+    """Yield every non-negative (a, b, c, d) composition with a+b+c+d = n."""
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            for c in range(n - a - b + 1):
+                yield ContingencyTable(a, b, c, n - a - b - c)
+
+
 def table_at(s, token: int) -> ContingencyTable:
     """The (a, b, c, d) table of ``token``'s row in a TokenStatsColumns."""
     i = s.index(token)

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages, dapo_admissible
+from ktae.advantage import token_stats
 from ktae.cli import main
 from ktae.frequency import cohen_h_array, frequency_term_array
 from ktae.oracle import ContingencyTable as CT
@@ -95,8 +96,8 @@ def test_criterion_06_neutral_token_neutrality():
         rollouts = tuple(
             Rollout(tokens=(42, 100 + i), reward=float(i < 3)) for i in range(5)
         )
-        matrix = compute_advantages(RolloutGroup("neutral", rollouts))
-        s = matrix.token_stats
+        group = RolloutGroup("neutral", rollouts)
+        matrix, s = compute_advantages(group), token_stats(group)
         assert s.c[s.index(42)] == 0
         assert s.d[s.index(42)] == 0
         for row, base in zip(matrix.token_advantages, matrix.rollout_advantages):
@@ -106,8 +107,7 @@ def test_criterion_06_neutral_token_neutrality():
         rng = np.random.default_rng(11)
         for i in range(200):
             group = random_group(rng, f"n{i}", vocab=5)
-            matrix = compute_advantages(group)
-            s = matrix.token_stats
+            matrix, s = compute_advantages(group), token_stats(group)
             everywhere = (s.c == 0) & (s.d == 0)
             assert np.all(s.key_token_value[everywhere] == 0.0)
             for token in s.tokens[everywhere].tolist():

@@ -31,8 +31,8 @@ from ktae import (
     dapo_admissible,
     grpo_advantages,
 )
-from ktae import advantage, core, frequency, stats
-from ktae.advantage import DELTA_MAX, sigmoid_shift
+from ktae import advantage, cli, core, frequency, stats
+from ktae.advantage import DELTA_MAX, sigmoid_shift, token_stats
 from ktae.oracle import (
     ContingencyTable as CT,
     brute_force_stats,
@@ -57,10 +57,15 @@ def empty_memo(monkeypatch):
     monkeypatch.setattr(advantage, "_memo", OrderedDict())
 
 
-def matrix_bytes(matrix):
-    """Every array of an AdvantageMatrix, as bytes."""
+def matrix_bytes(matrix, s):
+    """Every array of an AdvantageMatrix and of its group's TokenStatsColumns ``s``, as bytes."""
     return [matrix.rollout_advantages.tobytes(), *(row.tobytes() for row in matrix.token_advantages),
-            *(getattr(matrix.token_stats, f.name).tobytes() for f in fields(matrix.token_stats))]
+            *(getattr(s, f.name).tobytes() for f in fields(s))]
+
+
+def output_bytes(group, config=None):
+    """matrix_bytes of the group's AdvantageMatrix and token statistics."""
+    return matrix_bytes(compute_advantages(group, config), token_stats(group, config))
 
 
 def memo_bytes():
@@ -167,19 +172,19 @@ class TestKeyTokenValue:
     SPLIT = ([True] * 4 + [False] * 4, [(7, 1), (7, 2), (7, 7, 3), (7, 1, 1)] + [(1,), (2, 2), (3,), (4, 1)])
 
     def test_zero_strength_kills_any_direction(self):
-        s = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h1=0.0, h2=0.0)).token_stats
+        s = token_stats(binary_group(*self.SPLIT), KtaeConfig(h1=0.0, h2=0.0))
         assert np.all(s.direction != 0.0)
         assert np.all(s.key_token_value == 0.0)
 
     def test_plain_multiplication(self):
-        s = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h1=1.0, h2=2.0)).token_stats
+        s = token_stats(binary_group(*self.SPLIT), KtaeConfig(h1=1.0, h2=2.0))
         expected = (1.0 * s.fisher_score + 2.0 * s.info_gain) * s.direction
         assert s.key_token_value == pytest.approx(expected, rel=1e-15)
 
     def test_composed_perfect_split_factors(self):
         # F and IG of table (4,0,0,4) composed with a half-pi direction (h3 = 0
         # leaves Cohen's h alone)
-        s = compute_advantages(binary_group(*self.SPLIT), KtaeConfig(h3=0.0)).token_stats
+        s = token_stats(binary_group(*self.SPLIT), KtaeConfig(h3=0.0))
         assert table_at(s, 7) == CT(4, 0, 0, 4)
         assert s.direction[s.index(7)] == math.pi / 2
         value = s.key_token_value.item(s.index(7))
@@ -189,7 +194,7 @@ class TestKeyTokenValue:
     @given(rollout_groups())
     @settings(max_examples=100)
     def test_sign_tracks_direction_when_strength_positive(self, group):
-        s = compute_advantages(group).token_stats
+        s = token_stats(group)
         strong = 1.0 * s.fisher_score + 2.0 * s.info_gain > 0
         assert np.all(s.key_token_value[strong & (s.direction < 0)] < 0)
         assert np.all(s.key_token_value[strong & (s.direction > 0)] > 0)
@@ -240,7 +245,7 @@ class TestComputeAdvantages:
         for i in range(3):
             # position 0 holds the everywhere-token
             assert matrix.token_advantages[i][0] == matrix.rollout_advantages[i]
-        s = matrix.token_stats
+        s = token_stats(group)
         assert s.key_token_value[s.index(9)] == 0.0
         assert table_at(s, 9) == CT(2, 1, 0, 0)
 
@@ -261,7 +266,7 @@ class TestComputeAdvantages:
         assert matrix.rollout_advantages.tolist() == [0.0] * 4
         for row in matrix.token_advantages:
             assert np.all(row == 0.0)
-        assert np.all(matrix.token_stats.key_token_value == 0.0)
+        assert np.all(token_stats(group).key_token_value == 0.0)
 
     def test_degenerate_all_incorrect_zeros_policy(self):
         group = binary_group([False] * 3, [(1,), (2,), (3,)])
@@ -296,7 +301,7 @@ class TestComputeAdvantages:
         spec = SynthSpec(num_groups=1, group_size=8, base_vocab=50, rollout_len_range=(20, 40))
         group = generate(spec)[0]
         fresh = RolloutGroup(group.group_id, group.rollouts)
-        expected = advantage_record_line(fresh.group_id, compute_advantages(fresh), include_stats=True)
+        expected = advantage_record_line(fresh.group_id, compute_advantages(fresh), token_stats(fresh))
 
         def convert(*args, **kwargs):
             raise AssertionError("token ids converted twice")
@@ -304,21 +309,21 @@ class TestComputeAdvantages:
         monkeypatch.setattr(core.array, "array", convert)
         monkeypatch.setattr(np, "fromiter", convert)
         matrix = compute_advantages(group)
-        assert advantage_record_line(group.group_id, matrix, include_stats=True) == expected
+        assert advantage_record_line(group.group_id, matrix, token_stats(group)) == expected
 
     def test_deterministic_across_runs(self):
         group = binary_group(
             [True, True, False, False],
             [(5, 3, 5, 1), (2, 2, 9), (3, 1, 4, 1, 5), (8, 8)],
         )
-        assert matrix_bytes(compute_advantages(group)) == matrix_bytes(compute_advantages(group))
+        assert output_bytes(group) == output_bytes(group)
 
     def test_two_sided_mode_matches_scalar_two_sided(self):
         group = binary_group(
             [True, True, False, False],
             [(1, 2), (1, 3), (2, 4), (5, 1)],
         )
-        s = compute_advantages(group, KtaeConfig(fisher_mode="two_sided")).token_stats
+        s = token_stats(group, KtaeConfig(fisher_mode="two_sided"))
         for token, p in zip(s.tokens.tolist(), s.fisher_p.tolist()):
             assert p == at_one(fisher_p, table_at(s, token), fisher_mode="two_sided")
             assert 0.0 < p <= 1.0
@@ -348,8 +353,8 @@ class TestComputeAdvantages:
             group.group_id,
             tuple(Rollout(tokens=r.tokens, reward=1.0 - r.reward) for r in group.rollouts),
         )
-        ours = compute_advantages(group).token_stats
-        theirs = compute_advantages(flipped).token_stats
+        ours = token_stats(group)
+        theirs = token_stats(flipped)
         assert theirs.tokens.tobytes() == ours.tokens.tobytes()
         assert theirs.fisher_p == pytest.approx(ours.fisher_p, abs=1e-12)
         assert theirs.info_gain == pytest.approx(ours.info_gain, abs=1e-12)
@@ -358,13 +363,13 @@ class TestComputeAdvantages:
 
 
 class TestTokenStatsColumns:
-    def matrix(self):
-        return compute_advantages(binary_group(
+    def columns(self):
+        return token_stats(binary_group(
             [True, True, False], [(7, 3, 7), (3, 2**63 - 1), (3, 11, 11, 11)],
         ))
 
     def test_index_finds_each_tokens_row(self):
-        s = self.matrix().token_stats
+        s = self.columns()
         assert s.tokens.tolist() == [3, 7, 11, 2**63 - 1]
         assert [s.index(t) for t in s.tokens.tolist()] == [0, 1, 2, 3]
         assert s.index(np.int64(11)) == 2
@@ -379,10 +384,10 @@ class TestTokenStatsColumns:
     @pytest.mark.parametrize("key", [4, -3, 2**63, 2**70, "7", 7.0, None])
     def test_absent_or_foreign_keys_raise_key_error(self, key):
         with pytest.raises(KeyError):
-            self.matrix().token_stats.index(key)
+            self.columns().index(key)
 
     def test_columns_are_read_only(self):
-        s = self.matrix().token_stats
+        s = self.columns()
         with pytest.raises(ValueError):
             s.key_token_value[0] = 1.0
         with pytest.raises(ValueError):
@@ -426,7 +431,7 @@ class TestTableGather:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # no step may warn, an empty side included
     def test_columns_equal_per_token_kernels(self, group, fisher_mode):
         config = KtaeConfig(fisher_mode=fisher_mode, h1=1.5, h2=0.75, h3=2.0)
-        s = compute_advantages(group, config).token_stats
+        s = token_stats(group, config)
         a, b, c, d = s.a, s.b, s.c, s.d
         p = fisher_p(a, b, c, d, fisher_mode)
         f_score = stats.fisher_score_array(p)
@@ -467,7 +472,7 @@ class TestWorkCount:
         """A cold call evaluates each table once; a warm call on the same group evaluates none."""
         group = next(iter(generate(self.GROUPS[shape])))
         rows = count_kernel_rows(monkeypatch)
-        s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
+        s = token_stats(group, KtaeConfig(fisher_mode=fisher_mode))
         tables = len(set(zip(s.a.tolist(), s.b.tolist())))
         assert s.tokens.size > tables  # the shape must share tables between tokens
         assert rows and max(rows) <= tables
@@ -497,14 +502,15 @@ HASHED_COLUMNS = ("tokens", "a", "b", "c", "d", "tf_true", "tf_false", "fisher_p
 # sha256 of each hashed column over the set's groups.
 HASH_SCRIPT = f"""
 import hashlib, sys
-from ktae import KtaeConfig, compute_advantages
+from ktae import KtaeConfig
+from ktae.advantage import token_stats
 from ktae.synth import SynthSpec, generate
 from test_golden import golden_groups, wide_groups
 for groups in sys.argv[1:]:
     for fisher_mode in ("point", "two_sided"):
         hashes = [hashlib.sha256() for _ in {HASHED_COLUMNS!r}]
         for group in eval(groups):
-            s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
+            s = token_stats(group, KtaeConfig(fisher_mode=fisher_mode))
             for h, name in zip(hashes, {HASHED_COLUMNS!r}):
                 h.update(getattr(s, name).tobytes())
         print(*(h.hexdigest() for h in hashes))
@@ -518,8 +524,7 @@ class TestCount:
     @given(bound_groups())
     @settings(max_examples=60, deadline=None)
     def test_counts_equal_naive_scans(self, group):
-        matrix = compute_advantages(group)
-        s = matrix.token_stats
+        matrix, s = compute_advantages(group), token_stats(group)
         assert s.tokens.tolist() == sorted(set(group.token_ids.tolist()))
         for i, token in enumerate(s.tokens.tolist()):
             assert table_at(s, token) == brute_force_stats(group, token)
@@ -536,13 +541,13 @@ class TestCount:
     @settings(max_examples=60, deadline=None)
     def test_rank_keys_give_the_packed_bytes(self, group, fisher_mode):
         config = KtaeConfig(fisher_mode=fisher_mode)
-        packed = matrix_bytes(compute_advantages(group, config))
+        packed = output_bytes(group, config)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(advantage, "MAX_TOKEN_ID", -1)  # no id fits beside a position
             unique = np.unique
             ranked = []
             mp.setattr(np, "unique", lambda *args, **kwargs: ranked.append(1) or unique(*args, **kwargs))
-            assert matrix_bytes(compute_advantages(group, config)) == packed
+            assert output_bytes(group, config) == packed
         assert ranked
 
     @pytest.mark.skipif(not __cpu_features__.get("AVX512F"), reason="numpy takes no AVX-512 path on this CPU")
@@ -593,21 +598,20 @@ class TestMemo:
         config = KtaeConfig(fisher_mode=fisher_mode, h1=h1, h2=h2)
         with pytest.MonkeyPatch.context() as mp:
             empty_memo(mp)
-            # Statistics are counted when first read, so read the cold ones before the memo warms.
-            cold = compute_advantages(group, config)
-            cold = matrix_bytes(cold), advantage_record_line("k", cold, include_stats=True)
+            cold = compute_advantages(group, config), token_stats(group, config)
+            cold = matrix_bytes(*cold), advantage_record_line("k", *cold)
             empty_memo(mp)
             for other in others:  # the other Fisher mode's margin too, and other weights
                 for fill in (config, KtaeConfig(fisher_mode="point" if fisher_mode == "two_sided" else "two_sided")):
-                    compute_advantages(other, fill).token_stats  # a degenerate margin enters on this read
+                    token_stats(other, fill)  # a degenerate margin enters here
             warmed = (group.num_correct, group.size - group.num_correct, fisher_mode) in advantage._memo
-            warm = compute_advantages(group, config)
-            assert (matrix_bytes(warm), advantage_record_line("k", warm, include_stats=True)) == cold
+            warm = compute_advantages(group, config), token_stats(group, config)
+            assert (matrix_bytes(*warm), advantage_record_line("k", *warm)) == cold
         assert warmed
 
     def test_returned_columns_do_not_alias_the_memo(self, monkeypatch):
         empty_memo(monkeypatch)
-        s = compute_advantages(binary_group([True, False], [(1, 2), (2, 3)])).token_stats
+        s = token_stats(binary_group([True, False], [(1, 2), (2, 3)]))
         (slot, values), = advantage._memo.values()
         for name in ("fisher_p", "fisher_score", "info_gain", "direction", "key_token_value"):
             assert not np.shares_memory(getattr(s, name), values), name
@@ -617,7 +621,7 @@ class TestMemo:
         budget = 2000
         monkeypatch.setattr(advantage, "_MEMO_BYTES", budget)
         first = binary_group([True] * 3 + [False] * 3, [(1, 2), (2, 3), (3,), (1, 4), (4, 5), (2, 5)])
-        expected = matrix_bytes(compute_advantages(first))
+        expected = output_bytes(first)
         assert (3, 3, "point") in advantage._memo
         for g in range(2, 24):  # margins (n_T, n_F) with up to 12 * 13 cells each
             group = binary_group([i % 2 == 0 for i in range(g)], [(i % 5, i % 3 + 7) for i in range(g)])
@@ -625,17 +629,17 @@ class TestMemo:
                 compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
                 assert memo_bytes() <= budget
         assert (3, 3, "point") not in advantage._memo  # evicted, so recomputed below
-        assert matrix_bytes(compute_advantages(first)) == expected
+        assert output_bytes(first) == expected
 
     def test_a_margin_over_the_budget_is_not_held(self, monkeypatch):
         group = binary_group([True] * 8 + [False] * 8, [(i, i % 4, 99) for i in range(16)])
         empty_memo(monkeypatch)
-        expected = matrix_bytes(compute_advantages(group))
+        expected = output_bytes(group)
         empty_memo(monkeypatch)
         monkeypatch.setattr(advantage, "_MEMO_BYTES", 324)  # the (8, 8) lattice alone takes 81 * 4 bytes
         compute_advantages(binary_group([True, False], [(1,), (2,)]))
         for _ in range(2):
-            assert matrix_bytes(compute_advantages(group)) == expected
+            assert output_bytes(group) == expected
             assert list(advantage._memo) == [(1, 1, "point")]  # nothing was evicted for it
 
     def test_a_sweep_over_g256_margins_stays_warm(self, monkeypatch):
@@ -664,7 +668,7 @@ class TestMemo:
             for fisher_mode in ("point", "two_sided")
         ]
         empty_memo(monkeypatch)
-        serial = [matrix_bytes(compute_advantages(*job)) for job in jobs]
+        serial = [output_bytes(*job) for job in jobs]
         empty_memo(monkeypatch)
         results = [None] * 4
         start = threading.Barrier(4)
@@ -672,7 +676,7 @@ class TestMemo:
         def work(t):
             start.wait()
             order = jobs[t:] + jobs[:t]  # each thread starts on a different margin
-            results[t] = [matrix_bytes(compute_advantages(*job)) for job in order]
+            results[t] = [output_bytes(*job) for job in order]
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
         for thread in threads:
@@ -710,15 +714,15 @@ class TestExactFisherP:
     @settings(max_examples=80, deadline=None)
     def test_memo_p_equals_the_oracle(self, group, fisher_mode):
         oracle = fisher_two_sided_enum if fisher_mode == "two_sided" else fisher_exact_rational
-        s = compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode)).token_stats
+        s = token_stats(group, KtaeConfig(fisher_mode=fisher_mode))
         for token, p in zip(s.tokens.tolist(), s.fisher_p.tolist()):
             assert p == float(oracle(table_at(s, token))), token
 
     def test_tied_tables_share_their_p(self):
-        s = compute_advantages(self.TIED, KtaeConfig(fisher_mode="two_sided")).token_stats
+        s = token_stats(self.TIED, KtaeConfig(fisher_mode="two_sided"))
         assert (table_at(s, 8), table_at(s, 9)) == (CT(3, 1, 0, 4), CT(0, 4, 3, 1))
         assert s.fisher_p[s.index(8)] == s.fisher_p[s.index(9)] == 1 / 7
-        s = compute_advantages(self.MIRRORED, KtaeConfig(fisher_mode="two_sided")).token_stats
+        s = token_stats(self.MIRRORED, KtaeConfig(fisher_mode="two_sided"))
         assert s.fisher_p.tolist() == [1 / 35, 1 / 35]
 
 
@@ -742,7 +746,7 @@ class TestPlainPath:
         def refuse(*args):
             raise AssertionError("token statistics built on the plain path")
 
-        monkeypatch.setattr(advantage, "_token_stats", refuse)
+        monkeypatch.setattr(cli, "token_stats", refuse)
         assert compute_sha256(golden_groups(), "plain", tmp_path) == GOLDEN_SHA256["plain"]
         assert compute_sha256(wide_groups(), "plain", tmp_path) == WIDE_SHA256["plain"]
         with pytest.raises(AssertionError, match="plain path"):  # the patch is the one --stats reaches
@@ -760,12 +764,13 @@ class TestPlainPath:
     ], ids=["all-correct", "all-incorrect", "graded", "negative-zero"])
     def test_degenerate_line_equals_the_full_kernel_line(self, monkeypatch, group, fisher_mode):
         config = KtaeConfig(fisher_mode=fisher_mode)
+        stats = token_stats(group, config)
         short = compute_advantages(group, config)
-        lines = [advantage_record_line(group.group_id, short, stats) for stats in (False, True)]
+        lines = [advantage_record_line(group.group_id, short, s) for s in (None, stats)]
         full_kernel(monkeypatch)
         full = compute_advantages(group, config)
-        assert lines == [advantage_record_line(group.group_id, full, stats) for stats in (False, True)]
-        assert matrix_bytes(short) == matrix_bytes(full)
+        assert lines == [advantage_record_line(group.group_id, full, s) for s in (None, stats)]
+        assert matrix_bytes(short, stats) == matrix_bytes(full, stats)
         if group.group_id == "negative-zero":
             assert np.signbit(short.rollout_advantages[2]) and not np.signbit(short.token_advantages[2][0])
 
@@ -774,10 +779,10 @@ class TestPlainPath:
     def test_any_degenerate_group_gives_the_full_kernel_bytes(self, group, correct, fisher_mode):
         group = degenerate(group, correct)
         config = KtaeConfig(fisher_mode=fisher_mode)
-        short = matrix_bytes(compute_advantages(group, config))
+        short = output_bytes(group, config)
         with pytest.MonkeyPatch.context() as mp:
             full_kernel(mp)
-            assert matrix_bytes(compute_advantages(group, config)) == short
+            assert output_bytes(group, config) == short
 
     @staticmethod
     def held_bytes(make, count):
@@ -791,33 +796,31 @@ class TestPlainPath:
             tracemalloc.stop()
 
     def test_a_held_matrix_keeps_counts_not_statistics(self):
-        """Unread statistics cost a held matrix no per-token array of its
-        own: it shares the group's id column, so a wide group's matrix holds
-        at most 2x its advantage bytes."""
+        """A held matrix keeps no per-token array: a wide group's matrix
+        holds at most 1.1x its advantage bytes."""
         group = next(iter(generate(TestWorkCount.GROUPS["wide"])))
         compute_advantages(group)  # the memo is warm
         held, matrix = self.held_bytes(lambda i: compute_advantages(group), 4)
-        assert held <= 2 * sum(row.nbytes for row in matrix.token_advantages)
+        assert held <= 1.1 * sum(row.nbytes for row in matrix.token_advantages)
 
-    def test_a_matrix_whose_group_was_dropped_keeps_its_id_column(self):
+    def test_a_matrix_whose_group_was_dropped_keeps_only_its_own_arrays(self):
         """A caller that parses each group, computes it and drops it keeps
-        the matrix and the group's id column (8 bytes a position, as the
-        advantages): at most 3x the advantage bytes on wide groups."""
+        the matrix alone, not the group's id column: at most 1.1x the
+        advantage bytes on wide groups."""
         spec = replace(TestWorkCount.GROUPS["wide"], num_groups=4)
         lines = [group_record_line(group) for group in generate(spec)]
         for line in lines:  # the memo is warm
             compute_advantages(parse_group_record(line))
         held, matrix = self.held_bytes(lambda i: compute_advantages(parse_group_record(lines[i])), len(lines))
-        assert held <= 3 * sum(row.nbytes for row in matrix.token_advantages)
+        assert held <= 1.1 * sum(row.nbytes for row in matrix.token_advantages)
 
     def test_statistics_read_after_the_margin_is_evicted(self, monkeypatch):
         empty_memo(monkeypatch)
         group = binary_group([True, True, False], [(7, 3, 7), (3, 2, 5), (3, 11, 11, 5)])
-        matrix = compute_advantages(group)
+        before = output_bytes(group)
         del advantage._memo[2, 1, "point"]
-        kept = pickle.loads(pickle.dumps(compute_advantages(group)))
-        fresh = compute_advantages(group)
-        assert matrix_bytes(matrix) == matrix_bytes(fresh) == matrix_bytes(kept)
+        kept = pickle.loads(pickle.dumps((compute_advantages(group), token_stats(group))))
+        assert matrix_bytes(*kept) == output_bytes(group) == before
 
 
 # Non-negative floats up to 1e308, spread over every magnitude.
@@ -841,9 +844,8 @@ def test_every_accepted_config_gives_finite_values(h1, h2, h3, negative, k1, b, 
     except ConfigError:
         return
     for group in FINITE_GROUPS:
-        matrix = compute_advantages(group, config)
-        s = matrix.token_stats
+        matrix, s = compute_advantages(group, config), token_stats(group, config)
         columns = [matrix.rollout_advantages, *matrix.token_advantages, *(getattr(s, f.name) for f in fields(s))]
         assert all(np.isfinite(column).all() for column in columns)
-        json.loads(advantage_record_line(group.group_id, matrix, include_stats=True),
+        json.loads(advantage_record_line(group.group_id, matrix, s),
                    parse_constant=lambda name: pytest.fail(f"{name} in the output"))

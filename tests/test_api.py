@@ -1,6 +1,7 @@
 """The public surface: the exact top-level names, and where the rest live."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -26,6 +27,9 @@ MODULE_LEVEL = [
     ("ktae.synth", "recovery_report"),
     # A kernel, next to the other array kernels; compute_advantages applies it.
     ("ktae.advantage", "sigmoid_shift"),
+    # Per-token statistics of a group, which the advantages do not carry:
+    # `ktae compute --stats`, the benchmark and diagnostics call it.
+    ("ktae.advantage", "token_stats"),
     # Only the kernels and the oracle raise it: compute_advantages cannot.
     ("ktae.core", "DomainError"),
     # RolloutGroup's constructor runs it, so no caller needs it.
@@ -49,10 +53,17 @@ MODULE_LEVEL = [
 
 # Every public name each module defines itself; a new public helper shows up here.
 DEFINED = {
+    "ktae.core": {"AdvantageMatrix", "ConfigError", "DegenerateGroup", "DegeneratePolicy", "DomainError",
+                  "FisherMode", "InvalidGroup", "KtaeConfig", "KtaeError", "MAX_TOKEN_ID", "Rollout",
+                  "RolloutGroup", "TokenStatsColumns", "validate_group"},
+    "ktae.advantage": {"DELTA_MAX", "compute_advantages", "dapo_admissible", "grpo_advantages", "sigmoid_shift",
+                       "token_stats"},
+    "ktae.synth": {"MAX_SPEC_TOKENS", "SynthSpec", "generate", "recovery_report"},
+    "ktae.heatmap": {"UnknownGroup", "render_group_html", "token_values"},
     "ktae.stats": {"binary_entropy_from_counts", "fisher_prob_array", "fisher_score_array", "info_gain_array"},
     "ktae.frequency": {"cohen_h_array", "frequency_term_array", "tf_score_array"},
-    "ktae.oracle": {"ContingencyTable", "MAX_EXACT_N", "ReferenceAdvantages", "all_tables_with_total",
-                    "brute_force_stats", "compare_fast_vs_exact", "fisher_exact_rational", "fisher_two_sided_enum",
+    "ktae.oracle": {"ContingencyTable", "MAX_EXACT_N", "ReferenceAdvantages", "brute_force_stats",
+                    "compare_fast_vs_exact", "fisher_exact_rational", "fisher_two_sided_enum",
                     "raw_term_frequencies", "reference_advantages", "same_margin_tables"},
     "ktae.records": {"AdvantageRecord", "RecordError", "TOKEN_STAT_KEYS", "advantage_record_line",
                      "group_record_line", "load_flat_mapping", "parse_advantage_record",
@@ -114,6 +125,8 @@ REMOVED = [
     # one margin per fisher_prob_array call.
     ("ktae.stats", "fisher_point_prob_array"),
     ("ktae.stats", "fisher_two_sided_prob_array"),
+    # Only tests enumerated tables by total; the helper lives in tests/conftest.py.
+    ("ktae.oracle", "all_tables_with_total"),
 ]
 
 
@@ -151,6 +164,11 @@ def test_public_names_defined_in_each_module_are_pinned(module):
 def test_removed_names_stay_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
     assert not hasattr(ktae, name)
+
+
+def test_an_advantage_matrix_holds_only_its_two_arrays():
+    assert [f.name for f in dataclasses.fields(ktae.AdvantageMatrix)] == ["rollout_advantages", "token_advantages"]
+    assert "__getattr__" not in vars(ktae.core.AdvantageMatrix)
 
 
 def test_wire_format_module_does_not_import_the_pipeline():

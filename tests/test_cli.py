@@ -490,6 +490,24 @@ class TestVisualize:
         assert code == 0
         assert "rgba(34,139,34" in path.read_text()
 
+    @pytest.mark.parametrize("group_id, texts, wanted", [
+        ("g", '["a","\\ud800"]', "g"),  # a JSON-escaped lone surrogate in a display text
+        ("\\udcff", '["a","b"]', "\udcff"),  # the id that --group $'\\xff' names, in the page title
+    ], ids=["text", "group-id"])
+    def test_text_that_utf8_cannot_encode_exits_1_and_writes_no_file(self, tmp_path, capsys, group_id, texts,
+                                                                        wanted):
+        src, adv, page = tmp_path / "in.jsonl", tmp_path / "adv.jsonl", tmp_path / "heat.html"
+        src.write_text('{"group_id":"%s","rollouts":[{"tokens":[1,2],"reward":1.0,"texts":%s},'
+                       '{"tokens":[3],"reward":0.0,"texts":["c"]}]}\n' % (group_id, texts))
+        assert main(["compute", "--input", str(src), "--output", str(adv)]) == 0
+        capsys.readouterr()
+        code = main(["visualize", "--input", str(src), "--advantages", str(adv),
+                     "--group", wanted, "--output", str(page)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: InvalidGroup: group {wanted!r} has an id or display text "
+                                           "that UTF-8 cannot encode\n")
+        assert not page.exists()
+
     def test_unknown_group_exits_1(self, batch, tmp_path, capsys):
         code, _ = self.render(tmp_path, batch, "synth-9999")
         assert code == 1

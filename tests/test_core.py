@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ktae import ConfigError, InvalidGroup, KtaeConfig, Rollout, RolloutGroup, compute_advantages
 from ktae import core
+from ktae.advantage import token_stats
 from ktae.core import DomainError, validate_group
 from ktae.oracle import ContingencyTable, reference_advantages
 from ktae.records import advantage_record_line
@@ -112,7 +113,7 @@ def test_a_built_group_is_not_checked_again(monkeypatch):
     def outputs():
         ref = reference_advantages(group, config)
         columns = [*vars(ref.token_stats).values(), ref.deltas]
-        return (advantage_record_line("g", compute_advantages(group, config), include_stats=True),
+        return (advantage_record_line("g", compute_advantages(group, config), token_stats(group, config)),
                 repr((ref.rollout_advantages, ref.token_advantages)), [column.tobytes() for column in columns])
 
     expected = outputs()
@@ -153,16 +154,11 @@ def test_advantage_matrices_compare_and_hash_by_identity():
     assert len({m, m2, m}) == 2
 
 
-def test_advantage_matrix_repr_builds_no_statistics():
-    def refuse():
-        raise AssertionError("token statistics built by repr")
-
+def test_advantage_matrix_repr_names_only_its_two_arrays():
     m = compute_advantages(make_group([1.0, 0.0]))
-    matrix = core.AdvantageMatrix(m.rollout_advantages, m.token_advantages, refuse)
-    text = repr(matrix)
-    assert text.startswith("AdvantageMatrix(rollout_advantages=array(") and "token_stats" not in text
-    with pytest.raises(AssertionError, match="built by repr"):  # the builder is still the one a read calls
-        matrix.token_stats
+    text = repr(m)
+    assert text.startswith("AdvantageMatrix(rollout_advantages=array(")
+    assert re.findall(r"\b(\w+)=", text) == ["rollout_advantages", "token_advantages"]
 
 
 @pytest.mark.parametrize(

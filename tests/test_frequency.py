@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ktae import KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae.advantage import token_stats
 from ktae.core import DomainError
 from ktae.frequency import cohen_h_array, frequency_term_array, tf_score_array
 from ktae.oracle import ContingencyTable as CT
@@ -45,7 +46,7 @@ class TestGroupLengths:
 
     @staticmethod
     def expected_tf_scores(group, len_true, len_false, len_avg, config):
-        s = compute_advantages(group, config).token_stats
+        s = token_stats(group, config)
         return s, (
             tf_score_array(s.tf_true, len_true, len_avg, config.k1, config.b),
             tf_score_array(s.tf_false, len_false, len_avg, config.k1, config.b),

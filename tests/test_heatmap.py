@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ktae import InvalidGroup, Rollout, RolloutGroup, compute_advantages
-from ktae.advantage import sigmoid_shift
+from ktae.advantage import sigmoid_shift, token_stats
 from ktae.heatmap import _logit, render_group_html, token_values
 from ktae.records import RecordError, advantage_record_line, parse_advantage_record
 
@@ -22,8 +22,8 @@ def planted_group():
 
 
 def record_for(group, include_stats):
-    matrix = compute_advantages(group)
-    return parse_advantage_record(advantage_record_line(group.group_id, matrix, include_stats))
+    stats = token_stats(group) if include_stats else None
+    return parse_advantage_record(advantage_record_line(group.group_id, compute_advantages(group), stats))
 
 
 class TestTokenValues:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae.advantage import token_stats
 from ktae.core import MAX_TOKEN_ID, AdvantageMatrix, TokenStatsColumns
 from ktae.records import (
     TOKEN_STAT_KEYS,
@@ -153,7 +154,7 @@ class TestAdvantageRecords:
 
     def test_stats_key_by_integer_token_id(self):
         group, matrix = self.matrix()
-        record = parse_advantage_record(advantage_record_line(group.group_id, matrix, include_stats=True))
+        record = parse_advantage_record(advantage_record_line(group.group_id, matrix, token_stats(group)))
         assert set(record.token_stats) == {1, 2, 3}
         entry = record.token_stats[2]
         assert set(entry) == {"a", "b", "c", "d", "p", "F", "IG", "TF_T", "TF_F", "D", "ktv"}
@@ -210,7 +211,7 @@ class TestAdvantageRecords:
             parse_advantage_record(line)
 
 
-def reference_advantage_record_line(group_id: str, matrix, include_stats: bool = False) -> str:
+def reference_advantage_record_line(group_id: str, matrix, s=None) -> str:
     """The record writer as it was before the dedupe-and-gather one: build
     the whole record as a dict and dump it."""
     obj: dict = {
@@ -218,8 +219,7 @@ def reference_advantage_record_line(group_id: str, matrix, include_stats: bool =
         "rollout_advantages": matrix.rollout_advantages.tolist(),
         "token_advantages": [row.tolist() for row in matrix.token_advantages],
     }
-    if include_stats:
-        s = matrix.token_stats
+    if s is not None:
         columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
                    s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
         obj["token_stats"] = {
@@ -259,7 +259,7 @@ record_floats = st.sampled_from([*SPECIAL_FLOATS, 0.25, -1.5, 1e-300]) | st.floa
 @st.composite
 def float_matrices(draw):
     """Matrices of arbitrary floats, including the non-finite ones and -0.0,
-    with token stats columns of the same kind."""
+    and token stats columns of the same kind."""
     pool = draw(st.sampled_from([record_floats, st.sampled_from(SPECIAL_FLOATS)]))
     g = draw(st.integers(1, 6))
     base = np.array(draw(st.lists(pool, min_size=g, max_size=g)), dtype=np.float64)
@@ -270,7 +270,7 @@ def float_matrices(draw):
             for _ in range(6)]
     floats = [np.array(draw(st.lists(pool, min_size=k, max_size=k)), dtype=np.float64) for _ in range(7)]
     stats = TokenStatsColumns(np.array(tokens, dtype=np.int64), *ints[:4], *floats[:3], *ints[4:], *floats[3:])
-    return AdvantageMatrix(base, rows, stats)
+    return AdvantageMatrix(base, rows), stats
 
 
 class TestRecordWriter:
@@ -279,22 +279,23 @@ class TestRecordWriter:
     @given(wire_groups(), st.booleans())
     @settings(max_examples=300)
     def test_matches_reference_on_computed_groups(self, group, include_stats):
-        matrix = compute_advantages(group)
-        assert advantage_record_line(group.group_id, matrix, include_stats) == \
-            reference_advantage_record_line(group.group_id, matrix, include_stats)
+        matrix, stats = compute_advantages(group), token_stats(group) if include_stats else None
+        assert advantage_record_line(group.group_id, matrix, stats) == \
+            reference_advantage_record_line(group.group_id, matrix, stats)
 
     @given(float_matrices(), st.booleans())
     @settings(max_examples=300)
-    def test_matches_reference_on_arbitrary_floats(self, matrix, include_stats):
-        assert advantage_record_line("g", matrix, include_stats) == \
-            reference_advantage_record_line("g", matrix, include_stats)
+    def test_matches_reference_on_arbitrary_floats(self, matrix_and_stats, include_stats):
+        matrix, stats = matrix_and_stats
+        stats = stats if include_stats else None
+        assert advantage_record_line("g", matrix, stats) == reference_advantage_record_line("g", matrix, stats)
 
     @pytest.mark.parametrize("repeats", [1, 40])
     def test_special_values_keep_their_text(self, repeats):
         values = np.array(SPECIAL_FLOATS * repeats)
-        matrix = AdvantageMatrix(values[:2], (values[2:], values[:0]), compute_advantages(self.group()).token_stats)
-        line = advantage_record_line("g", matrix, include_stats=True)
-        assert line == reference_advantage_record_line("g", matrix, include_stats=True)
+        matrix, stats = AdvantageMatrix(values[:2], (values[2:], values[:0])), token_stats(self.group())
+        line = advantage_record_line("g", matrix, stats)
+        assert line == reference_advantage_record_line("g", matrix, stats)
         assert '"rollout_advantages":[0.0,-0.0]' in line
         assert "Infinity,-Infinity,NaN" in line
 
@@ -304,15 +305,14 @@ class TestRecordWriter:
             Rollout(tuple(rng.integers(0, 5000, 300).tolist()), reward=i / 15) for i in range(16)
         ))
         matrix = compute_advantages(group)
-        for include_stats in (False, True):
-            assert advantage_record_line("wide", matrix, include_stats) == \
-                reference_advantage_record_line("wide", matrix, include_stats)
+        for stats in (None, token_stats(group)):
+            assert advantage_record_line("wide", matrix, stats) == \
+                reference_advantage_record_line("wide", matrix, stats)
 
     def test_all_distinct_values(self):
         rng = np.random.default_rng(6)
         flat = rng.standard_normal(4 * 512)
-        matrix = AdvantageMatrix(rng.standard_normal(4), tuple(flat.reshape(4, 512)),
-                                 compute_advantages(self.group()).token_stats)
+        matrix = AdvantageMatrix(rng.standard_normal(4), tuple(flat.reshape(4, 512)))
         assert advantage_record_line("g", matrix) == reference_advantage_record_line("g", matrix)
 
     @staticmethod

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from ktae.oracle import ContingencyTable as CT
-from ktae.oracle import all_tables_with_total, fisher_exact_rational, fisher_two_sided_enum
+from ktae.oracle import fisher_exact_rational, fisher_two_sided_enum
 from ktae.stats import binary_entropy_from_counts, fisher_prob_array, fisher_score_array, info_gain_array
 
-from conftest import at_one, contingency_tables, fisher_p
+from conftest import all_tables_with_total, at_one, contingency_tables, fisher_p
 
 
 def cond_entropy(table):
