@@ -7,22 +7,18 @@ flag-driven; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
 import os
 import sys
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
 
 from .advantage import compute_advantages, token_stats
-from .core import ConfigError, InvalidGroup, KtaeConfig, KtaeError
-from .heatmap import UnknownGroup, render_group_html
-from .oracle import MAX_EXACT_N, compare_fast_vs_exact
+from .core import MAX_EXACT_N, ConfigError, InvalidGroup, KtaeConfig, KtaeError
 from .records import (
     RecordError,
     advantage_record_line,
@@ -30,7 +26,10 @@ from .records import (
     parse_advantage_record,
     parse_group_record,
 )
-from .synth import SynthSpec, generate, recovery_report
+
+# Each command imports what only it runs (the process pool, the heatmap, the
+# synthetic benchmark, the oracle) inside its own function, so a serial
+# `ktae compute` loads just parse, compute and serialize.
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -137,10 +136,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(args.parallel, cpus)
     worker = functools.partial(_process_line, config=config, include_stats=args.stats)
-    # One worker maps in process, with no pool to start. Batches keep memory
-    # bounded on huge inputs, and both maps keep input order.
-    with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst, \
-            (ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()) as pool:
+    if workers == 1:  # maps in process, with no pool to import or start
+        return _compute_batches(args, worker, None, 1)
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _compute_batches(args, worker, pool, workers)
+    except BrokenExecutor as exc:  # a worker died
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _compute_batches(args: argparse.Namespace, worker, pool, workers: int) -> int:
+    """Batches keep memory bounded on huge inputs; both maps keep input order."""
+    with _open_lines(args.input) as src, open(args.output, "w", encoding="utf-8") as dst:
         items = _numbered_lines(src)
         while batch := list(itertools.islice(items, workers * 64)):
             step = max(1, len(batch) // (workers * CHUNKS_PER_WORKER))
@@ -171,10 +181,14 @@ def _find_record(path: str, wanted_id: str, parse, describe: str):
                 raise type(exc)(f"{path} line {lineno}: {exc}") from None
             if record.group_id == wanted_id:
                 return record
+    from .heatmap import UnknownGroup
+
     raise UnknownGroup(f"group {wanted_id!r} not found in {describe} {path}")
 
 
 def cmd_visualize(args: argparse.Namespace) -> int:
+    from .heatmap import render_group_html
+
     group = _find_record(args.input, args.group, parse_group_record, "group records")
     record = _find_record(args.advantages, args.group, parse_advantage_record, "advantage records")
     try:  # before the output is opened, so a failure writes no file
@@ -187,6 +201,8 @@ def cmd_visualize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, generate, recovery_report
+
     spec = SynthSpec.from_dict(load_flat_mapping(args.spec, "benchmark spec")) if args.spec else SynthSpec()
     config = resolve_config(args)
     groups = generate(spec)
@@ -208,6 +224,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if not 0 <= args.max_n <= MAX_EXACT_N:
         bound = ">= 0" if args.max_n < 0 else f"<= {MAX_EXACT_N}"
         raise ConfigError(f"--max-n must be {bound}, got {args.max_n}")
+    from .oracle import compare_fast_vs_exact
+
     started = time.perf_counter()
     worst, table = compare_fast_vs_exact(args.max_n)
     elapsed = time.perf_counter() - started
@@ -238,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (KtaeError, BrokenExecutor) as exc:  # BrokenExecutor: a --parallel worker died
+    except KtaeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

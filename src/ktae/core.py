@@ -23,6 +23,11 @@ DegeneratePolicy = Literal["zeros", "error"]
 # Token ids are counted as int64; larger ids are rejected at validation.
 MAX_TOKEN_ID = 2**63 - 1
 
+# Largest table total oracle.compare_fast_vs_exact sweeps: its cost grows as
+# N^4 (814k tables at 64). A single table takes any total. Defined here so the
+# CLI parser can name it without importing the oracle.
+MAX_EXACT_N = 64
+
 
 class KtaeError(Exception):
     """Base class for every error raised by this package."""

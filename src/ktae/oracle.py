@@ -16,11 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, KtaeConfig, RolloutGroup, TokenStatsColumns
-
-# Largest table total compare_fast_vs_exact sweeps: its cost grows as N^4
-# (814k tables at 64). A single table takes any total.
-MAX_EXACT_N = 64
+from .core import MAX_EXACT_N, DomainError, KtaeConfig, RolloutGroup, TokenStatsColumns
 
 
 class ContingencyTable(NamedTuple):

@@ -54,15 +54,15 @@ MODULE_LEVEL = [
 # Every public name each module defines itself; a new public helper shows up here.
 DEFINED = {
     "ktae.core": {"AdvantageMatrix", "ConfigError", "DegenerateGroup", "DegeneratePolicy", "DomainError",
-                  "FisherMode", "InvalidGroup", "KtaeConfig", "KtaeError", "MAX_TOKEN_ID", "Rollout",
-                  "RolloutGroup", "TokenStatsColumns", "validate_group"},
+                  "FisherMode", "InvalidGroup", "KtaeConfig", "KtaeError", "MAX_EXACT_N", "MAX_TOKEN_ID",
+                  "Rollout", "RolloutGroup", "TokenStatsColumns", "validate_group"},
     "ktae.advantage": {"DELTA_MAX", "compute_advantages", "dapo_admissible", "grpo_advantages", "sigmoid_shift",
                        "token_stats"},
     "ktae.synth": {"MAX_SPEC_TOKENS", "SynthSpec", "generate", "recovery_report"},
     "ktae.heatmap": {"UnknownGroup", "render_group_html", "token_values"},
     "ktae.stats": {"binary_entropy_from_counts", "fisher_prob_array", "fisher_score_array", "info_gain_array"},
     "ktae.frequency": {"cohen_h_array", "frequency_term_array", "tf_score_array"},
-    "ktae.oracle": {"ContingencyTable", "MAX_EXACT_N", "ReferenceAdvantages", "brute_force_stats",
+    "ktae.oracle": {"ContingencyTable", "ReferenceAdvantages", "brute_force_stats",
                     "compare_fast_vs_exact", "fisher_exact_rational", "fisher_two_sided_enum",
                     "raw_term_frequencies", "reference_advantages", "same_margin_tables"},
     "ktae.records": {"AdvantageRecord", "RecordError", "TOKEN_STAT_KEYS", "advantage_record_line",

@@ -283,7 +283,7 @@ class TestCompute:
         many.write_text(batch.read_text() * 20)  # 200 lines
         serial, capped = tmp_path / "serial.jsonl", tmp_path / "capped.jsonl"
         assert main(["compute", "--input", str(many), "--output", str(serial)]) == 0
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         usable_cpus(monkeypatch, 3)  # the affinity set caps, not the host's CPU count
         assert main(["compute", "--input", str(many), "--output", str(capped), "--parallel", "100000"]) == 0
         assert [pool.max_workers for pool in pools] == [3]
@@ -651,7 +651,7 @@ class TestBench:
     @pytest.mark.parametrize("spec", [{"group_size": 10**20}, {"planted_positive": [2**70]},
                                       {"rollout_len_range": 8}, {"correct_fraction": "high"}])
     def test_spec_rejected_before_any_group_is_generated_exits_2(self, tmp_path, capsys, monkeypatch, spec):
-        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generation started"))
+        monkeypatch.setattr("ktae.synth.generate", lambda spec: pytest.fail("generation started"))
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"num_groups": 2, **spec}))
         assert main(["bench", "--spec", str(path)]) == 2
@@ -688,7 +688,7 @@ class TestOracleCheck:
 
     def test_fault_is_reported_with_a_counterexample(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "compare_fast_vs_exact", lambda max_n: (3.5e-4, ContingencyTable(2, 0, 1, 3))
+            "ktae.oracle.compare_fast_vs_exact", lambda max_n: (3.5e-4, ContingencyTable(2, 0, 1, 3))
         )
         assert main(["oracle-check", "--max-n", "6"]) == 1
         captured = capsys.readouterr()
@@ -696,7 +696,7 @@ class TestOracleCheck:
         assert "FAIL" in captured.err
 
     def test_bound_above_exact_range_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "compare_fast_vs_exact", lambda max_n: pytest.fail("oracle check started"))
+        monkeypatch.setattr("ktae.oracle.compare_fast_vs_exact", lambda max_n: pytest.fail("oracle check started"))
         assert main(["oracle-check", "--max-n", "65"]) == 2
         assert capsys.readouterr().err == "config error: --max-n must be <= 64, got 65\n"
 
@@ -712,6 +712,23 @@ def test_compute_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=SRC))
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def test_a_fresh_process_loads_only_what_a_serial_compute_runs(tmp_path):
+    """The pool, the heatmap, the oracle and the synthetic benchmark load only
+    in the commands that run them."""
+    others = ["concurrent.futures.process", "ktae.heatmap", "ktae.oracle", "ktae.synth", "multiprocessing"]
+    src, serial, parallel = (str(tmp_path / name) for name in ("in.jsonl", "serial.jsonl", "parallel.jsonl"))
+    Path(src).write_text("".join(group_record_line(g) + "\n" for g in generate(SynthSpec(num_groups=8))),
+                         encoding="utf-8")
+    code = (f"import sys; loaded = lambda: [m for m in {others!r} if m in sys.modules]; "
+            "import ktae.cli; print(loaded()); "
+            f"assert ktae.cli.main(['compute', '--input', {src!r}, '--output', {serial!r}]) == 0; print(loaded())")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    assert (result.returncode, result.stdout) == (0, "[]\n[]\n"), result.stderr
+    assert main(["compute", "--input", src, "--output", parallel, "--parallel", "2"]) == 0
+    assert Path(parallel).read_bytes() == Path(serial).read_bytes()
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
