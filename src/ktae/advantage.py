@@ -141,11 +141,12 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     """Run the full pipeline for one group and return the advantage matrix.
 
     The group checked its rules when it was built, so none is checked here.
-    Token ids are processed in sorted order. What depends only on a token's
-    contingency table (Fisher probability and score, information gain,
-    Cohen's h) is computed once per margin cell per process, the frequency
-    scores once per occurrence count, and the rest once per token id; each
-    id's values are broadcast to all of its positions. A group whose
+    What depends only on a token's contingency table (Fisher probability and
+    score, information gain, Cohen's h) is computed once per margin cell per
+    process, the frequency scores once per occurrence count, and the rest
+    once per key (a, b, tf_true, tf_false), or once per token id where the
+    lattice of possible keys is larger than the id count; each key's or id's
+    delta is gathered to all of its positions. A group whose
     rollouts are all correct or all incorrect either raises DegenerateGroup
     (degenerate_policy="error") or skips the kernel: every table has an empty
     column, so F = IG = 0, every delta is exactly 0.0, and the token
@@ -158,7 +159,9 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     if dapo_admissible(group):
         correct = group.correct_mask
         _, order, rank, rollout, a, b, tf_true, tf_false = _count_occurrences(group.token_ids, sizes, correct)
-        ktv = _token_values(config, sizes, correct, a, b, tf_true, tf_false)[-1]
+        tops = int(tf_true.max()), int(tf_false.max())
+        rank, counts = _by_key(correct, tops, rank, a, b, tf_true, tf_false)
+        ktv = _token_values(config, sizes, correct, *counts, tops)[-1]
         base, delta = _snap_to_group_grid(baseline, sigmoid_shift(ktv))
         flat = np.empty(order.size)
         flat[order] = base[rollout] + delta[rank]
@@ -184,14 +187,35 @@ def token_stats(group: RolloutGroup, config: KtaeConfig | None = None) -> TokenS
     correct = group.correct_mask
     tokens, _, _, _, a, b, tf_true, tf_false = _count_occurrences(group.token_ids, sizes, correct)
     n_true = sum(correct)
-    values, index, *scores = _token_values(config, sizes, correct, a, b, tf_true, tf_false)
+    tops = tf_true.max(), tf_false.max()
+    values, index, *scores = _token_values(config, sizes, correct, a, b, tf_true, tf_false, tops)
     return TokenStatsColumns(tokens, a, b, n_true - a, len(correct) - n_true - b, *values[:3, index],
                              tf_true, tf_false, *scores)
 
 
-def _token_values(config: KtaeConfig, sizes: list[int], correct: tuple[bool, ...], a, b, tf_true, tf_false):
-    """Each token's memo column, TF scores, direction and key-token-value,
-    from its table and TF counts; also returns the memo values it indexes."""
+def _by_key(correct: tuple[bool, ...], tops: tuple[int, int], rank, a, b, tf_true, tf_false):
+    """``rank`` and the counts moved from token ids to the distinct keys (a, b,
+    tf_true, tf_false), found without a sort by marking each in the lattice of
+    all keys with TF counts up to ``tops``; both as given where that lattice
+    has more cells than there are ids, as it would then cost more than it saves."""
+    n_true = sum(correct)
+    spans = (len(correct) - n_true + 1, tops[0] + 1, tops[1] + 1)
+    lattice = (n_true + 1) * math.prod(spans)
+    if lattice > a.size:
+        return rank, (a, b, tf_true, tf_false)
+    key = ((a * spans[0] + b) * spans[1] + tf_true) * spans[2] + tf_false
+    slot = np.zeros(lattice, dtype=np.intp)
+    slot[key] = 1
+    distinct = np.flatnonzero(slot)
+    slot[distinct] = np.arange(distinct.size)
+    rest, tf_false = np.divmod(distinct, spans[2])
+    rest, tf_true = np.divmod(rest, spans[1])
+    return slot[key][rank], (*np.divmod(rest, spans[0]), tf_true, tf_false)
+
+
+def _token_values(config: KtaeConfig, sizes: list[int], correct: tuple[bool, ...], a, b, tf_true, tf_false, tops):
+    """Each token's memo column, TF scores, direction and key-token-value, from
+    its table and TF counts, whose maxima are ``tops``; also the memo values."""
     n_true = sum(correct)
     n_false = len(correct) - n_true
     values, index = _table_stats(n_true, n_false, config.fisher_mode, a * (n_false + 1) + b)
@@ -200,8 +224,8 @@ def _token_values(config: KtaeConfig, sizes: list[int], correct: tuple[bool, ...
     total = sum(sizes)
     total_true = sum(itertools.compress(sizes, correct))
     len_avg = total / len(sizes)
-    tfs_true = _tf_scores(tf_true, total_true / n_true if n_true else len_avg, len_avg, config)
-    tfs_false = _tf_scores(tf_false, (total - total_true) / n_false if n_false else len_avg, len_avg, config)
+    tfs_true = _tf_scores(tf_true, tops[0], total_true / n_true if n_true else len_avg, len_avg, config)
+    tfs_false = _tf_scores(tf_false, tops[1], (total - total_true) / n_false if n_false else len_avg, len_avg, config)
     direction = values[3][index] + frequency.frequency_term_array(tfs_true, tfs_false, config.h3, config.tf_floor)
     # Strength once per evaluated cell, then gathered with Cohen's h.
     strength = (config.h1 * values[1] + config.h2 * values[2])[index]
@@ -254,9 +278,9 @@ def _table_stats(n_true: int, n_false: int, fisher_mode: str, cell: np.ndarray):
         return values, index
 
 
-def _tf_scores(tf: np.ndarray, len_side: float, len_avg: float, config: KtaeConfig) -> np.ndarray:
-    """Frequency scores of one side, evaluated once per count 0..max(tf)."""
-    return frequency.tf_score_array(np.arange(tf.max() + 1), len_side, len_avg, config.k1, config.b)[tf]
+def _tf_scores(tf: np.ndarray, top: int, len_side: float, len_avg: float, config: KtaeConfig) -> np.ndarray:
+    """Frequency scores of one side, evaluated once per count 0..top, top = max(tf)."""
+    return frequency.tf_score_array(np.arange(top + 1), len_side, len_avg, config.k1, config.b)[tf]
 
 
 def _snap_to_group_grid(base: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

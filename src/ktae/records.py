@@ -157,21 +157,43 @@ _STATS_ENTRY = "{" + ",".join(f'"{key}":%s' for key in TOKEN_STAT_KEYS) + "}"
 
 
 def _token_stats_body(s) -> str:
-    """``"<token>":{"a":…,…,"ktv":…}`` for every token, comma-joined; each
-    column holds few distinct values, so each is formatted once per column."""
+    """``"<token>":{"a":…,…,"ktv":…}`` for every token, comma-joined.
+
+    In a group every field of a row is a function of its key (a, b, tf_true,
+    tf_false), so each key's entry is formatted once and gathered to its
+    tokens; columns in which rows of one key differ get one entry per token.
+    """
     columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
                s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
-    entries = [_STATS_ENTRY % row for row in zip(*map(_json_values, columns))]
-    return ",".join(map('"{}":{}'.format, s.tokens.tolist(), entries))
+    spans = [int(column.max(initial=0)) + 1 for column in (s.b, s.tf_true, s.tf_false)]
+    distinct, inverse = _distinct(((s.a * spans[0] + s.b) * spans[1] + s.tf_true) * spans[2] + s.tf_false)
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[inverse] = np.arange(inverse.size)
+    if any((column[first][inverse].view(np.int64) != column.view(np.int64)).any() for column in columns):
+        first = inverse = np.arange(inverse.size)
+    rows = zip(*(_json_numbers(column[first].tolist()) for column in columns))
+    pieces = ['"'] * (2 * inverse.size + 1)  # token texts alternate with '":<entry>,"'
+    pieces[1::2] = _json_numbers(s.tokens.tolist())
+    pieces[2::2] = np.array(['":' + _STATS_ENTRY % row + ',"' for row in rows], dtype=object)[inverse].tolist()
+    pieces[-1] = pieces[-1][:-2]
+    return "".join(pieces)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct elements of the int64 array ``keys`` and each
+    element's index in them, from one ``np.sort`` and no ``argsort``."""
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))[:keys.size]]
+    return distinct, np.searchsorted(distinct, keys)
 
 
 def _json_values(values: np.ndarray) -> list[str]:
     """JSON text of each element of a float64 or int64 array.
 
-    ``np.unique`` over the elements' bit patterns keeps ``-0.0`` and ``0.0``
-    apart, and the distinct values are formatted by one ``json.dumps`` call.
+    Taking the distinct elements by bit pattern keeps ``-0.0`` and ``0.0``
+    apart, and they are formatted by one ``json.dumps`` call.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    bits, inverse = _distinct(values.view(np.int64))
     texts = np.array(_json_numbers(bits.view(values.dtype).tolist()), dtype=object)
     return texts[inverse].tolist()
 
@@ -179,7 +201,7 @@ def _json_values(values: np.ndarray) -> list[str]:
 def _json_numbers(values: list) -> list[str]:
     """JSON text of each number in ``values``, from one C-level dump (no JSON
     number contains a comma)."""
-    return _dumps(values)[1:-1].split(",")
+    return _dumps(values)[1:-1].split(",") if values else []
 
 
 def _dumps(obj) -> str:

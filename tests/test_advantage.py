@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
+from unittest import mock
 from dataclasses import fields, replace
 
 import numpy as np
@@ -479,6 +480,65 @@ class TestWorkCount:
         rows.clear()
         compute_advantages(group, KtaeConfig(fisher_mode=fisher_mode))
         assert rows == []
+
+    @pytest.mark.parametrize("shape", sorted(GROUPS))
+    @pytest.mark.parametrize("fisher_mode", ["point", "two_sided"])
+    def test_tail_sees_one_row_per_key_on_wide_and_per_id_on_tall(self, monkeypatch, shape, fisher_mode):
+        """wide's key lattice is smaller than its id count, so the steps after
+        the count run once per distinct (a, b, tf_true, tf_false); tall's is
+        larger, so they run once per id."""
+        group = next(iter(generate(self.GROUPS[shape])))
+        config = KtaeConfig(fisher_mode=fisher_mode)
+        s = token_stats(group, config)
+        keys = len(set(zip(s.a.tolist(), s.b.tolist(), s.tf_true.tolist(), s.tf_false.tolist())))
+        seen = {}
+        for module, name in ((advantage, "sigmoid_shift"), (frequency, "frequency_term_array")):
+            def counted(x, *args, _kernel=getattr(module, name), _name=name):
+                seen.setdefault(_name, []).append(len(x))
+                return _kernel(x, *args)
+
+            monkeypatch.setattr(module, name, counted)
+        compute_advantages(group, config)
+        expected = {"wide": keys, "tall": s.tokens.size}[shape]
+        assert seen == {"sigmoid_shift": [expected], "frequency_term_array": [expected]}
+        if shape == "wide":
+            assert keys * 100 < s.tokens.size
+
+
+# Either side of the key lattice gate: 4 short rollouts over a large vocabulary
+# (keys on), and one id repeated hundreds of times beside a few others (ids).
+KEYED_GROUP = binary_group([True, False] * 2, [range(5000 * i, 5000 * i + 12) for i in range(4)])
+PER_ID_GROUP = binary_group([True, False], [(9,) * 300 + (1, 2, 3), (4,)])
+
+
+def per_id_advantages(group, config):
+    """Token advantages through per-id values: token_stats' key-token-values,
+    then sigmoid_shift and the grid snap, gathered to each position by id."""
+    s = token_stats(group, config)
+    base = grpo_advantages([r.reward for r in group.rollouts], config.std_epsilon)
+    base, delta = advantage._snap_to_group_grid(base, sigmoid_shift(s.key_token_value))
+    return [(base[i] + delta[s.tokens.searchsorted(r.tokens)]).tobytes() for i, r in enumerate(group.rollouts)]
+
+
+class TestKeyPath:
+    """compute_advantages runs its tail per distinct key only when the key
+    lattice is no larger than the id count; either way the bytes are those
+    of a per-id computation."""
+
+    @given(kernel_groups(), st.sampled_from(["point", "two_sided"]), st.none())
+    @example(KEYED_GROUP, "point", "keys")
+    @example(PER_ID_GROUP, "two_sided", "ids")
+    @settings(max_examples=150, deadline=None)
+    def test_advantages_equal_the_per_id_reference(self, group, fisher_mode, side):
+        config = KtaeConfig(fisher_mode=fisher_mode)
+        with mock.patch.object(advantage, "sigmoid_shift", wraps=sigmoid_shift) as spy:
+            matrix = compute_advantages(group, config)
+        assert [row.tobytes() for row in matrix.token_advantages] == per_id_advantages(group, config)
+        if side is not None:
+            s = token_stats(group, config)
+            keys = len(set(zip(s.a.tolist(), s.b.tolist(), s.tf_true.tolist(), s.tf_false.tolist())))
+            assert keys < s.tokens.size
+            assert spy.call_args.args[0].size == {"keys": keys, "ids": s.tokens.size}[side]
 
 
 @st.composite

@@ -731,6 +731,25 @@ def test_a_fresh_process_loads_only_what_a_serial_compute_runs(tmp_path):
     assert Path(parallel).read_bytes() == Path(serial).read_bytes()
 
 
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_parallel_writes_the_serial_bytes_under_each_start_method(tmp_path, method):
+    """A --parallel 2 run whose workers start by fork, forkserver or spawn,
+    whichever the platform offers, writes the bytes of the serial run."""
+    src, serial, parallel = (tmp_path / name for name in ("in.jsonl", "serial.jsonl", "parallel.jsonl"))
+    src.write_text("".join(group_record_line(g) + "\n" for g in generate(SynthSpec(num_groups=24))),
+                   encoding="utf-8")
+    assert main(["compute", "--input", str(src), "--output", str(serial), "--stats"]) == 0
+    args = ["compute", "--input", str(src), "--output", str(parallel), "--parallel", "2", "--stats"]
+    code = (f"import multiprocessing, os, sys; multiprocessing.set_start_method({method!r}); "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "  # a pool of two, even on one CPU
+            f"import ktae.cli; assert ktae.cli.main({args!r}) == 0; "
+            "print(multiprocessing.get_start_method(), 'concurrent.futures.process' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    assert (result.returncode, result.stdout) == (0, f"{method} True\n"), result.stderr
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
