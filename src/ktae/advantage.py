@@ -143,15 +143,14 @@ def compute_advantages(group: RolloutGroup, config: KtaeConfig | None = None) ->
     The group checked its rules when it was built, so none is checked here.
     What depends only on a token's contingency table (Fisher probability and
     score, information gain, Cohen's h) is computed once per margin cell per
-    process, the frequency scores once per occurrence count, and the rest
-    once per key (a, b, tf_true, tf_false), or once per token id where the
-    lattice of possible keys is larger than the id count; each key's or id's
-    delta is gathered to all of its positions. A group whose
-    rollouts are all correct or all incorrect either raises DegenerateGroup
-    (degenerate_policy="error") or skips the kernel: every table has an empty
-    column, so F = IG = 0, every delta is exactly 0.0, and the token
-    advantages equal the rollout baseline. The matrix holds only its two
-    arrays; ``token_stats`` builds a group's per-token statistics.
+    process, the frequency scores once per occurrence count, and the rest once
+    per key (a, b, tf_true, tf_false), or per token id where the lattice of
+    keys is larger than the id count, then gathered to every position. A group
+    whose rollouts are all correct or all incorrect either raises
+    DegenerateGroup (degenerate_policy="error") or skips the kernel: every
+    table has an empty column, so F = IG = 0, every delta is exactly 0.0, and
+    the token advantages equal the rollout baseline. The matrix holds only its
+    two arrays; ``token_stats`` builds a group's per-token statistics.
     """
     config = config if config is not None else KtaeConfig()
     baseline = grpo_advantages([r.reward for r in group.rollouts], config.std_epsilon)
@@ -194,23 +193,19 @@ def token_stats(group: RolloutGroup, config: KtaeConfig | None = None) -> TokenS
 
 
 def _by_key(correct: tuple[bool, ...], tops: tuple[int, int], rank, a, b, tf_true, tf_false):
-    """``rank`` and the counts moved from token ids to the distinct keys (a, b,
-    tf_true, tf_false), found without a sort by marking each in the lattice of
-    all keys with TF counts up to ``tops``; both as given where that lattice
-    has more cells than there are ids, as it would then cost more than it saves."""
+    """``rank`` and the counts moved from ids to the distinct keys (a, b, tf_true,
+    tf_false), found by marking each in the lattice of all keys without a sort;
+    both as given where the lattice has more cells than there are ids."""
     n_true = sum(correct)
-    spans = (len(correct) - n_true + 1, tops[0] + 1, tops[1] + 1)
-    lattice = (n_true + 1) * math.prod(spans)
-    if lattice > a.size:
+    lattice = (n_true + 1, len(correct) - n_true + 1, tops[0] + 1, tops[1] + 1)
+    if math.prod(lattice) > a.size:
         return rank, (a, b, tf_true, tf_false)
-    key = ((a * spans[0] + b) * spans[1] + tf_true) * spans[2] + tf_false
-    slot = np.zeros(lattice, dtype=np.intp)
+    key = ((a * lattice[1] + b) * lattice[2] + tf_true) * lattice[3] + tf_false
+    slot = np.zeros(math.prod(lattice), dtype=np.intp)
     slot[key] = 1
     distinct = np.flatnonzero(slot)
     slot[distinct] = np.arange(distinct.size)
-    rest, tf_false = np.divmod(distinct, spans[2])
-    rest, tf_true = np.divmod(rest, spans[1])
-    return slot[key][rank], (*np.divmod(rest, spans[0]), tf_true, tf_false)
+    return slot[key][rank], np.unravel_index(distinct, lattice)
 
 
 def _token_values(config: KtaeConfig, sizes: list[int], correct: tuple[bool, ...], a, b, tf_true, tf_false, tops):

@@ -157,12 +157,9 @@ _STATS_ENTRY = "{" + ",".join(f'"{key}":%s' for key in TOKEN_STAT_KEYS) + "}"
 
 
 def _token_stats_body(s) -> str:
-    """``"<token>":{"a":…,…,"ktv":…}`` for every token, comma-joined.
-
-    In a group every field of a row is a function of its key (a, b, tf_true,
-    tf_false), so each key's entry is formatted once and gathered to its
-    tokens; columns in which rows of one key differ get one entry per token.
-    """
+    """``"<token>":{"a":…,…,"ktv":…}`` for every token, comma-joined. Each key
+    (a, b, tf_true, tf_false) has one entry, formatted once and gathered to its
+    tokens, unless some column differs within a key (then one per token)."""
     columns = (s.a, s.b, s.c, s.d, s.fisher_p, s.fisher_score, s.info_gain,
                s.tf_score_true, s.tf_score_false, s.direction, s.key_token_value)
     spans = [int(column.max(initial=0)) + 1 for column in (s.b, s.tf_true, s.tf_false)]
@@ -188,11 +185,8 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _json_values(values: np.ndarray) -> list[str]:
-    """JSON text of each element of a float64 or int64 array.
-
-    Taking the distinct elements by bit pattern keeps ``-0.0`` and ``0.0``
-    apart, and they are formatted by one ``json.dumps`` call.
-    """
+    """JSON text of each element of a float64 or int64 array. The distinct
+    bit patterns (``-0.0`` apart from ``0.0``) are formatted by one dump."""
     bits, inverse = _distinct(values.view(np.int64))
     texts = np.array(_json_numbers(bits.view(values.dtype).tolist()), dtype=object)
     return texts[inverse].tolist()

@@ -9,8 +9,8 @@ import threading
 import tracemalloc
 from collections import OrderedDict
 from collections.abc import Mapping
-from unittest import mock
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
