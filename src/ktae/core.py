@@ -163,11 +163,7 @@ class KtaeConfig:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "KtaeConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        return cls(**mapping)
+        return _from_mapping(cls, mapping, "config")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +264,14 @@ def _as_tuple(value, what: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise InvalidGroup(f"{what} must be a sequence, got {type(value).__name__}") from None
+
+
+def _from_mapping(cls, mapping: dict, what: str):
+    """``cls(**mapping)``; a ConfigError naming every key that is not a field of ``cls``."""
+    unknown = set(mapping) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+    return cls(**mapping)
 
 
 def _is_finite_number(value) -> bool:

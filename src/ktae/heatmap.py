@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 import math
 
-from .core import InvalidGroup, KtaeError, RolloutGroup
+from .core import InvalidGroup, RolloutGroup
 from .records import AdvantageRecord, RecordError
 
 # Recovered key-token-values are capped where the logistic saturates in
@@ -55,10 +55,6 @@ _ROLLOUT = """<div class="rollout">
 <div class="tokens">{tokens}</div>
 </div>
 """
-
-
-class UnknownGroup(KtaeError):
-    """Requested group id was not found."""
 
 
 def _logit(delta: float) -> float:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_TOKEN_ID, ConfigError, KtaeError, Rollout, RolloutGroup
+from .core import MAX_TOKEN_ID, ConfigError, KtaeError, Rollout, RolloutGroup, _is_finite_number
 
 TOKEN_STAT_KEYS = ("a", "b", "c", "d", "p", "F", "IG", "TF_T", "TF_F", "D", "ktv")
 
@@ -42,11 +41,6 @@ def _require(condition: bool, message: str) -> None:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A number that float64 holds as a finite value: no NaN, infinity or huge int."""
-    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 def _parse_json_line(line: str, object_pairs_hook=None) -> dict:
@@ -208,14 +202,14 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
     _require(isinstance(group_id, str), "group_id must be a string")
     rollout_adv = obj.get("rollout_advantages")
     _require(
-        isinstance(rollout_adv, list) and all(map(_is_finite, rollout_adv)),
+        isinstance(rollout_adv, list) and all(map(_is_finite_number, rollout_adv)),
         "rollout_advantages must be an array of finite numbers",
     )
     token_adv = obj.get("token_advantages")
     _require(isinstance(token_adv, list), "token_advantages must be an array of arrays")
     for i, row in enumerate(token_adv):
         _require(
-            isinstance(row, list) and all(map(_is_finite, row)),
+            isinstance(row, list) and all(map(_is_finite_number, row)),
             f"token_advantages[{i}] must be an array of finite numbers",
         )
     _require(len(token_adv) == len(rollout_adv), "token_advantages must have one row per rollout")
@@ -233,7 +227,7 @@ def parse_advantage_record(line: str) -> AdvantageRecord:
             _require(str(tok) == key and 0 <= tok <= MAX_TOKEN_ID,
                      f"token_stats key {key!r} is not a token id in canonical decimal")
             _require(isinstance(entry, dict), f"token_stats[{key}] must be an object")
-            _require(_is_finite(entry.get("ktv", 0.0)), f"token_stats[{key}].ktv must be a finite number")
+            _require(_is_finite_number(entry.get("ktv", 0.0)), f"token_stats[{key}].ktv must be a finite number")
             parsed_stats[tok] = entry
     return AdvantageRecord(
         group_id=group_id,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .advantage import compute_advantages, token_stats
-from .core import MAX_TOKEN_ID, ConfigError, KtaeConfig, Rollout, RolloutGroup
+from .core import MAX_TOKEN_ID, ConfigError, KtaeConfig, Rollout, RolloutGroup, _from_mapping
 
 
 _PLANTS = ("planted_positive", "planted_negative", "planted_neutral")
@@ -88,11 +88,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SynthSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigError(f"unknown benchmark spec field(s): {', '.join(sorted(unknown))}")
-        return cls(**mapping)
+        return _from_mapping(cls, mapping, "benchmark spec")
 
 
 def generate(spec: SynthSpec) -> list[RolloutGroup]:

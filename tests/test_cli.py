@@ -509,9 +509,11 @@ class TestVisualize:
         assert not page.exists()
 
     def test_unknown_group_exits_1(self, batch, tmp_path, capsys):
-        code, _ = self.render(tmp_path, batch, "synth-9999")
+        code, path = self.render(tmp_path, batch, "synth-9999")
         assert code == 1
-        assert "synth-9999" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: UnknownGroup: group 'synth-9999' not found in group records {batch}\n"
+        assert not path.exists()
 
     def test_input_that_is_not_utf8_exits_1(self, batch, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -674,6 +676,18 @@ class TestSynthSpecFiles:
             SynthSpec.from_dict(load_flat_mapping(path, "benchmark spec"))
 
 
+@pytest.mark.parametrize("command, flag, unknown", [
+    ("compute", "--config", "config field(s): alpha, num_groups, zeta"),
+    ("bench", "--spec", "benchmark spec field(s): alpha, h1, zeta"),
+])
+def test_unknown_file_fields_exit_2_naming_them(tmp_path, capsys, command, flag, unknown):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps({"zeta": 1, "num_groups": 2, "h1": 1.0, "alpha": 2}))
+    io = ["--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+    assert main([command, flag, str(path), *(io if command == "compute" else [])]) == 2
+    assert capsys.readouterr().err == f"config error: unknown {unknown}\n"
+
+
 class TestOracleCheck:
     def test_passes_within_tolerance(self, capsys):
         assert main(["oracle-check", "--max-n", "8"]) == 0
@@ -748,6 +762,38 @@ def test_parallel_writes_the_serial_bytes_under_each_start_method(tmp_path, meth
                             env=dict(os.environ, PYTHONPATH=SRC))
     assert (result.returncode, result.stdout) == (0, f"{method} True\n"), result.stderr
     assert parallel.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_dead_worker_is_one_error_line_under_each_start_method(tmp_path, method):
+    """TestCompute.test_dead_worker_is_one_error_line in a subprocess whose
+    workers start by fork, forkserver or spawn, whichever the platform offers."""
+    spec = SynthSpec(num_groups=100, base_vocab=40, rollout_len_range=(6, 10))
+    src, expected, out = tmp_path / "groups.jsonl", tmp_path / "expected.jsonl", tmp_path / "out.jsonl"
+    src.write_text("".join(group_record_line(group) + "\n" for group in generate(spec)))
+    assert main(["compute", "--input", str(src), "--output", str(expected)]) == 0
+    # Spawned and forkserver workers import the worker by name, so it lives
+    # in a module on their path, not in this process's monkeypatch.
+    (tmp_path / "dead_worker.py").write_text(
+        "import os\n"
+        "from ktae.cli import _process_line\n\n\n"
+        "def exit_on_line_40(item, config, include_stats):\n"
+        '    """A worker that dies on input line 40, as one killed for memory would."""\n'
+        "    if item[0] == 40:\n"
+        "        os._exit(1)\n"
+        "    return _process_line(item, config, include_stats)\n")
+    args = ["compute", "--input", str(src), "--output", str(out), "--parallel", "2"]
+    code = (f"import multiprocessing, os, sys; multiprocessing.set_start_method({method!r}); "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "  # a pool of two, even on one CPU
+            "import dead_worker, ktae.cli; ktae.cli._process_line = dead_worker.exit_on_line_40; "
+            f"status = ktae.cli.main({args!r}); "
+            "print(multiprocessing.get_start_method(), multiprocessing.active_children()); sys.exit(status)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)])))
+    assert (result.returncode, result.stdout) == (1, f"{method} []\n"), result.stderr
+    assert result.stderr.startswith("error: BrokenProcessPool: ") and result.stderr.count("\n") == 1
+    assert expected.read_text().startswith(out.read_text())
+    assert len(read_lines(out)) < 40
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

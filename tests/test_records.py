@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktae import ConfigError, KtaeConfig, Rollout, RolloutGroup, compute_advantages
+from ktae import ConfigError, KtaeConfig, KtaeError, Rollout, RolloutGroup, compute_advantages
 from ktae.advantage import token_stats
 from ktae.core import MAX_TOKEN_ID, AdvantageMatrix, TokenStatsColumns
 from ktae.records import (
@@ -197,6 +198,33 @@ class TestAdvantageRecords:
         # json.loads alone would keep the last value of each repeated key
         with pytest.raises(RecordError, match=re.escape(f"key {key!r} appears twice in one object")):
             parse_advantage_record(line)
+
+    @pytest.mark.parametrize("value, accepted", [
+        (str(int(sys.float_info.max) + 1), True),  # rounds to the largest double
+        (str(2**1024), False),
+        (str(-(2**1024)), False),
+        ("1e308", True),
+        ("NaN", False),
+        ("Infinity", False),
+        ("true", False),
+        ('"1"', False),
+        ("null", False),
+    ], ids=["max-plus-1", "2**1024", "-2**1024", "1e308", "NaN", "Infinity", "true", "string", "null"])
+    @pytest.mark.parametrize("field", ["rollout_advantages", "token_advantages", "ktv"])
+    def test_an_advantage_is_finite_exactly_when_a_reward_is(self, value, accepted, field):
+        def accepts(parse, line):
+            try:
+                parse(line)
+            except KtaeError:
+                return False
+            return True
+
+        group_line = '{"group_id": "g", "rollouts": [{"tokens": [1], "reward": %s}, {"tokens": [2], "reward": 0}]}'
+        record_line = ('{"group_id": "g", "rollout_advantages": [%s, 0], "token_advantages": [[%s], [0]], '
+                       '"token_stats": {"1": {"ktv": %s}}}')
+        cells = tuple(value if name == field else "0" for name in ("rollout_advantages", "token_advantages", "ktv"))
+        assert accepts(parse_group_record, group_line % value) is accepted
+        assert accepts(parse_advantage_record, record_line % cells) is accepted
 
     def test_non_integer_stat_keys_are_rejected(self):
         line = json.dumps(
